@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet lint test race bench bench-smoke allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline litmus waivers waivers-baseline clean
+.PHONY: tier1 build vet lint test race bench bench-smoke perfbench-test allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline litmus waivers waivers-baseline clean
 
 # tier1 is the gate every change must pass.
 tier1: vet lint build race allocbudget
@@ -36,6 +36,12 @@ bench:
 # a measurement — plus the allocation-budget gate.
 bench-smoke: allocbudget
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# perfbench-test: the self-test of the repository benchmark (perfbench/,
+# see perfbench/README.md). perfbench is its own module, so the root
+# `go test ./...` never runs it.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # allocbudget: regenerate the budgeted artifacts and fail if any one's
 # allocs/op or bytes/op exceeds BENCH_BUDGET.json by more than its

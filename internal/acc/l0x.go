@@ -335,6 +335,15 @@ func (c *L0X) fill(m *TileMsg) {
 		t = c.txns[slot]
 	}
 	if t == nil {
+		// A grant with no transaction left for it. On FUSION-Dx a forward
+		// can satisfy a GetL still stalled at the L1X; the L1X replays it
+		// once the epoch closes, and that stale read grant consumes this
+		// L0X's newer GetW transaction, orphaning the GetW's write grant.
+		// A write grant holds the L1X epoch lock, so release it as the
+		// dead-grant path does, or the line's next GetW waits forever.
+		if m.Write && (c.mut == nil || !c.mut.DropOrphanEpoch) {
+			c.sendWB(a, m.Ver, m.Lease, false)
+		}
 		if l := c.arr.LookupPID(a, c.pid); l != nil && m.Lease > l.LTime {
 			l.LTime = m.Lease
 		}

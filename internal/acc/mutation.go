@@ -29,4 +29,10 @@ type Mutations struct {
 	// instead of bypassing. The deadline-bypass litmus case's counter
 	// floor kills it.
 	IgnoreDeadline bool
+
+	// DropOrphanEpoch drops a write-epoch grant that reaches an L0X with no
+	// transaction waiting for it instead of releasing the epoch, so the
+	// L1X's write lock on the line is never cleared and the next GetW
+	// stalls forever. The dx-orphan-epoch case's watchdog kills it.
+	DropOrphanEpoch bool
 }

@@ -66,6 +66,8 @@ type memCb struct {
 	fn   func(now uint64)
 }
 
+// done is the parked accelerator's only wake source: a completion is the
+// only event that can give a no-op Tick something to do.
 func (cb *memCb) done(uint64) {
 	if cb.load {
 		cb.st.loadsDone++
@@ -73,6 +75,9 @@ func (cb *memCb) done(uint64) {
 		cb.st.storesDone++
 	}
 	a := cb.a
+	if a.parked {
+		a.parked, a.woken = false, true
+	}
 	a.release(cb.line)
 	a.freeCbs = append(a.freeCbs, cb)
 }
@@ -112,9 +117,19 @@ type Accelerator struct {
 	cMLPMilli    *stats.Counter
 
 	// accumulated measurements
-	busyCycles uint64
 	mlpSamples uint64
 	mlpSum     uint64
+
+	// parked is set by a Tick that changed nothing: every later Tick would
+	// repeat it until a memory completion lands, so Tick returns at once
+	// and Idle reports true. parkedAt is the cycle of the parking Tick and
+	// parkedOut its outstanding-line count, which cannot change while
+	// parked; woken asks the first Tick after the wake to book the skipped
+	// cycles' MLP samples.
+	parked    bool
+	woken     bool
+	parkedAt  uint64
+	parkedOut uint64
 }
 
 // lineCount is one outstanding line and its in-flight access count.
@@ -164,10 +179,11 @@ func (a *Accelerator) Name() string { return a.name }
 // Busy reports whether an invocation is running.
 func (a *Accelerator) Busy() bool { return a.inv != nil }
 
-// Idle implements sim.IdleTicker: with no invocation loaded, Tick returns
-// without touching any state, so the engine may fast-forward across the
-// DMA-bound and drain stretches where the datapath sits unused.
-func (a *Accelerator) Idle() bool { return a.inv == nil }
+// Idle implements sim.IdleTicker: with no invocation loaded, or parked
+// waiting on memory, Tick returns without touching any state, so the engine
+// may fast-forward across the DMA-bound and drain stretches where the
+// datapath sits unused and the stretches where it only waits on memory.
+func (a *Accelerator) Idle() bool { return a.inv == nil || a.parked }
 
 // Start launches an invocation. onDone fires the cycle the last operation
 // retires. The accelerator must be idle.
@@ -181,6 +197,7 @@ func (a *Accelerator) Start(inv *trace.Invocation, port MemPort, onDone func(now
 	a.nextIter = 0
 	a.inflight = a.inflight[:0]
 	a.outstanding = a.outstanding[:0]
+	a.parked, a.woken = false, false
 	a.startCycle = a.eng.Now()
 	a.cInvocations.Inc()
 }
@@ -216,7 +233,7 @@ func (a *Accelerator) getCb(st *iterState, line uint64, load bool) *memCb {
 }
 
 // computeCycles returns how many cycles the compute phase of it occupies,
-// given the datapath widths, and accounts its energy.
+// given the datapath widths. Tick accounts the energy at admission.
 func (a *Accelerator) computeCycles(it *trace.Iteration) int {
 	ci := (it.IntOps + a.cfg.IntALUs - 1) / a.cfg.IntALUs
 	cf := 0
@@ -233,18 +250,32 @@ func (a *Accelerator) computeCycles(it *trace.Iteration) int {
 	return c
 }
 
-// Tick advances the pipeline one cycle.
+// Tick advances the pipeline one cycle. A Tick that admits, issues,
+// computes and retires nothing, and meets no port back-pressure, parks the
+// accelerator until the next memory completion.
 func (a *Accelerator) Tick(now uint64) {
-	if a.inv == nil {
+	if a.inv == nil || a.parked {
 		return
 	}
-	a.busyCycles++
+	if a.woken {
+		// Book the cycles skipped while parked, each of which would have
+		// sampled the parking Tick's outstanding count.
+		a.woken = false
+		if skipped := now - a.parkedAt - 1; a.parkedOut > 0 {
+			a.mlpSamples += skipped
+			a.mlpSum += skipped * a.parkedOut
+		}
+	}
 	// MLP is averaged over cycles with memory outstanding (the standard
 	// definition; idle-memory compute cycles do not dilute it).
 	if n := len(a.outstanding); n > 0 {
 		a.mlpSamples++
 		a.mlpSum += uint64(n)
 	}
+	// acted records any state change other than an issued access (those
+	// count in memIssued), or a refused Access, whose retry is owed next
+	// cycle. A Tick with neither parks.
+	acted := false
 
 	// Admit new iterations into the pipeline. A Serial invocation admits
 	// the next iteration only once every in-flight iteration's compute has
@@ -263,6 +294,7 @@ func (a *Accelerator) Tick(now uint64) {
 		a.cFPOps.Add(int64(it.FPOps))
 		a.inflight = append(a.inflight, st)
 		a.nextIter++
+		acted = true
 	}
 
 	memIssued := 0
@@ -283,6 +315,7 @@ func (a *Accelerator) Tick(now uint64) {
 			cb := a.getCb(st, line, true)
 			if !a.port.Access(mem.Load, addr, cb.fn) {
 				a.freeCbs = append(a.freeCbs, cb)
+				acted = true
 				break // port back-pressure; retry next cycle
 			}
 			a.outInc(line)
@@ -296,6 +329,7 @@ func (a *Accelerator) Tick(now uint64) {
 		it := &a.inv.Iterations[st.idx]
 		if st.loadsDone == len(it.Loads) && st.computeLeft > 0 {
 			st.computeLeft--
+			acted = true
 		}
 	}
 
@@ -316,6 +350,7 @@ func (a *Accelerator) Tick(now uint64) {
 			cb := a.getCb(st, line, false)
 			if !a.port.Access(mem.Store, addr, cb.fn) {
 				a.freeCbs = append(a.freeCbs, cb)
+				acted = true
 				break
 			}
 			a.outInc(line)
@@ -334,6 +369,7 @@ func (a *Accelerator) Tick(now uint64) {
 			a.inflight = a.inflight[1:]
 			a.freeIters = append(a.freeIters, st)
 			a.eng.Progress() // an iteration retiring is forward progress
+			acted = true
 			continue
 		}
 		break
@@ -349,6 +385,10 @@ func (a *Accelerator) Tick(now uint64) {
 		if done != nil {
 			done(now)
 		}
+		return
+	}
+	if !acted && memIssued == 0 {
+		a.parked, a.parkedAt, a.parkedOut = true, now, uint64(len(a.outstanding))
 	}
 }
 
@@ -382,6 +422,3 @@ func (a *Accelerator) AvgMLP() float64 {
 	}
 	return float64(a.mlpSum) / float64(a.mlpSamples)
 }
-
-// BusyCycles returns the cycles spent executing invocations.
-func (a *Accelerator) BusyCycles() uint64 { return a.busyCycles }

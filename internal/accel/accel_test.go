@@ -17,7 +17,9 @@ type fakePort struct {
 	outstanding int
 	maxSeen     int
 	accesses    int
-	rejectFirst int // reject the first N accesses (back-pressure test)
+	rejectFirst int      // reject the first N accesses (back-pressure test)
+	refuseUntil uint64   // reject every access before this cycle
+	issued      []uint64 // cycle of each accepted access
 }
 
 func (p *fakePort) Access(kind mem.AccessKind, va mem.VAddr, done func(uint64)) bool {
@@ -25,6 +27,10 @@ func (p *fakePort) Access(kind mem.AccessKind, va mem.VAddr, done func(uint64)) 
 		p.rejectFirst--
 		return false
 	}
+	if p.eng.Now() < p.refuseUntil {
+		return false
+	}
+	p.issued = append(p.issued, p.eng.Now())
 	p.accesses++
 	p.outstanding++
 	if p.outstanding > p.maxSeen {

@@ -110,8 +110,6 @@ type Core struct {
 
 	freeCbs []*memCb
 
-	busy uint64
-
 	cPhases    *stats.Counter
 	cLoads     *stats.Counter
 	cStores    *stats.Counter
@@ -228,7 +226,6 @@ func (c *Core) Tick(now uint64) {
 	if c.inv == nil {
 		return
 	}
-	c.busy++
 
 	// Dispatch into the ROB.
 	for n := 0; n < c.cfg.Width && c.dispatch < len(c.ops) && c.inROB < c.cfg.ROB; n++ {
@@ -312,6 +309,3 @@ func (c *Core) Tick(now uint64) {
 		}
 	}
 }
-
-// BusyCycles returns cycles spent executing host phases.
-func (c *Core) BusyCycles() uint64 { return c.busy }

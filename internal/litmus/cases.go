@@ -228,6 +228,18 @@ func regressionDeadGrantBench() *workloads.Benchmark {
 	return b
 }
 
+// dxOrphanEpochBench is the random program that orphans a FUSION-Dx write
+// epoch: a Dx forward satisfies an L0X's GetL whose request is still
+// stalled at the L1X; the L1X replays it after the epoch closes, and the
+// stale read grant consumes the L0X's newer GetW transaction, so the
+// GetW's write-epoch grant reaches the L0X with no transaction to fill.
+// Small regions make the lines shared enough to hit it.
+func dxOrphanEpochBench() *workloads.Benchmark {
+	p := workloads.DefaultRandomParams()
+	p.MaxRegionKB, p.MaxPhases = 2, 3
+	return workloads.Random(7518817352334205340, p)
+}
+
 // placementMigrationBench drives ADAPTIVE through all three placements for
 // the same data classes a real pipeline mixes: a streaming store pass (low
 // reuse -> uncached), a host-produced region read repeatedly (shared ->
@@ -354,6 +366,19 @@ func cases() []*Case {
 				return counterFloor(res, 1,
 					"l0x.0.dead_grants", "l0x.1.dead_grants",
 					"l0x.0.dead_forwards", "l0x.1.dead_forwards")
+			},
+		},
+		{
+			Name: "dx-orphan-epoch",
+			About: "a write-epoch grant reaching an L0X whose transaction a " +
+				"stale replayed read grant already consumed must release " +
+				"the epoch, or the line's next GetW waits forever (caught " +
+				"by the armed watchdog)",
+			Systems: []systems.Kind{systems.FusionDx},
+			Build:   dxOrphanEpochBench,
+			Tune: func(cfg *systems.Config) {
+				cfg.WatchdogCycles = 100_000
+				cfg.Paranoid = true
 			},
 		},
 		{

@@ -1,9 +1,11 @@
 package litmus
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"fusion/internal/sim"
 	"fusion/internal/systems"
 )
 
@@ -35,12 +37,19 @@ func TestDirectedSuite(t *testing.T) {
 	}
 }
 
+// watchdogTrip reports whether err is the forward-progress watchdog
+// stopping a run: the kill of a LivenessKill mutant.
+func watchdogTrip(err error) bool {
+	var pe *sim.ProtocolError
+	return errors.As(err, &pe) && pe.Component == "watchdog"
+}
+
 // TestMutationKill proves the harness detects every deliberate protocol
 // break: each mutant's designated run must fail — by checker violations
-// naming the agent, line, cycle, and expected write, or (for ScenarioKill
-// mutants) by the case's scenario assertions — and the same (case, system)
-// pair unmutated must be clean, so the kill is attributable to the
-// mutation alone.
+// naming the agent, line, cycle, and expected write, by the case's
+// scenario assertions (ScenarioKill mutants), or by the armed watchdog
+// (LivenessKill mutants) — and the same (case, system) pair unmutated must
+// be clean, so the kill is attributable to the mutation alone.
 func TestMutationKill(t *testing.T) {
 	for _, m := range Mutations() {
 		t.Run(m.Name, func(t *testing.T) {
@@ -59,6 +68,14 @@ func TestMutationKill(t *testing.T) {
 					clean.FinalMismatches, clean.ScenarioErr)
 			}
 			mutated, err := RunCase(c, m.System, m.Apply)
+			if m.LivenessKill {
+				if !watchdogTrip(err) {
+					t.Fatalf("mutant %s survived: %s on %s did not trip the "+
+						"watchdog (err %v)", m.Name, m.Case, m.System, err)
+				}
+				t.Logf("killed by watchdog: %.120v", err)
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +136,11 @@ func TestMutationCoverage(t *testing.T) {
 			continue
 		}
 		rep, err := RunCase(c, m.System, m.Apply)
-		if err != nil {
+		switch {
+		case m.LivenessKill && watchdogTrip(err):
+			killed[m.System] = append(killed[m.System], m.Name)
+			continue
+		case err != nil:
 			t.Errorf("mutant %s: %v", m.Name, err)
 			continue
 		}
@@ -149,9 +170,14 @@ func TestMutationByName(t *testing.T) {
 }
 
 // TestRandomSuite drives randomized workloads through every registered
-// system with the checker attached.
+// system with the checker attached: programs 1 to 5, plus the programs
+// that once deadlocked FUSION-Dx on an orphaned write epoch (see the
+// dx-orphan-epoch case).
 func TestRandomSuite(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
+	seeds := []int64{1, 2, 3, 4, 5,
+		4032135550349762200, 4597876269881881885, 3405733071320072501,
+		3009907945964993585, 1046922297177225637}
+	for _, seed := range seeds {
 		for _, kind := range systems.Kinds() {
 			rep, err := RunRandom(seed, kind)
 			if err != nil {

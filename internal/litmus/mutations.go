@@ -25,6 +25,10 @@ type Mutation struct {
 	// the bug changes which protocol path fires, not the values
 	// observed, so the kill is a ScenarioErr.
 	ScenarioKill bool
+	// LivenessKill marks mutants detected by the case's armed watchdog:
+	// the bug loses a message rather than a value, so the run stops with
+	// a watchdog *sim.ProtocolError instead of finishing.
+	LivenessKill bool
 }
 
 // Mutations returns the mutation-kill suite. Each entry pairs a deliberate
@@ -84,6 +88,18 @@ func Mutations() []Mutation {
 			System: systems.Scratch,
 			Apply: func(cfg *systems.Config) {
 				cfg.PadMutations = &scratchpad.Mutations{StaleFill: true}
+			},
+		},
+		{
+			Name: "drop-orphan-epoch",
+			About: "an L0X drops a write-epoch grant that arrives with no " +
+				"transaction waiting instead of releasing it — the L1X's " +
+				"write lock on the line is never cleared",
+			Case:         "dx-orphan-epoch",
+			System:       systems.FusionDx,
+			LivenessKill: true,
+			Apply: func(cfg *systems.Config) {
+				cfg.AccMutations = &acc.Mutations{DropOrphanEpoch: true}
 			},
 		},
 		{
