@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet lint test race bench bench-smoke perfbench-test allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline litmus waivers waivers-baseline clean
+.PHONY: tier1 build vet lint test race bench bench-smoke perfbench-test allocbudget soak-smoke soak fuzz-smoke daemon-smoke example-trace cover cover-baseline litmus waivers waivers-baseline clean
 
 # tier1 is the gate every change must pass.
 tier1: vet lint build race allocbudget
@@ -65,6 +65,12 @@ soak:
 # golden after a deliberate result change.
 daemon-smoke:
 	./scripts/daemon_smoke.sh
+
+# example-trace: run examples/protocoltrace, which attaches the event
+# stream's trace collector through the public facade (Config.Observer) and
+# exits 1 when the trace is empty or the final memory image is wrong.
+example-trace:
+	$(GO) run ./examples/protocoltrace
 
 # fuzz-smoke: run each native fuzzer briefly. The committed seed corpora
 # (testdata/fuzz/) replay on every plain `go test`; this target additionally

@@ -7,16 +7,18 @@
 //	covergate -profile cover.out -baseline COVERAGE_BASELINE -write   # refresh
 //
 // The gate fails (exit 1) when any package's coverage drops more than
-// -maxdrop percentage points below its baseline entry. Packages new since
-// the baseline pass (and are reported) — refresh with -write after adding
-// a package or deliberately changing coverage. Exit 2 on usage/parse
-// errors.
+// -maxdrop percentage points below its baseline entry, or when a baseline
+// package is missing from the profile (deleted or renamed: its floor would
+// otherwise linger unchecked). Packages new since the baseline pass (and
+// are reported) — refresh with -write after adding or removing a package
+// or deliberately changing coverage. Exit 2 on usage/parse errors.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path"
 	"sort"
@@ -58,32 +60,48 @@ func main() {
 		os.Exit(2)
 	}
 
-	pkgs := make([]string, 0, len(got))
-	for p := range got {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
-
-	failed := 0
-	for _, p := range pkgs {
-		cur := got[p]
-		want, known := base[p]
-		switch {
-		case !known:
-			fmt.Printf("NEW   %-40s %6.1f%% (not in baseline; refresh with -write)\n", p, cur)
-		case cur+*maxDrop < want:
-			fmt.Printf("FAIL  %-40s %6.1f%% (baseline %.1f%%, drop %.1f > %.1f points)\n",
-				p, cur, want, want-cur, *maxDrop)
-			failed++
-		default:
-			fmt.Printf("ok    %-40s %6.1f%% (baseline %.1f%%)\n", p, cur, want)
-		}
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "covergate: %d package(s) regressed more than %.1f points\n",
+	if failed := gate(os.Stdout, got, base, *maxDrop); failed > 0 {
+		fmt.Fprintf(os.Stderr, "covergate: %d package(s) regressed more than %.1f points or vanished\n",
 			failed, *maxDrop)
 		os.Exit(1)
 	}
+}
+
+// gate compares per-package coverage got against the baseline base,
+// printing one verdict line per package to w, and returns how many
+// packages fail: those more than maxDrop points below their floor, and
+// baseline packages absent from got.
+func gate(w io.Writer, got, base map[string]float64, maxDrop float64) (failed int) {
+	pkgs := make([]string, 0, len(got)+len(base))
+	for p := range got {
+		pkgs = append(pkgs, p)
+	}
+	for p := range base {
+		if _, ok := got[p]; !ok {
+			pkgs = append(pkgs, p)
+		}
+	}
+	sort.Strings(pkgs)
+
+	for _, p := range pkgs {
+		cur, present := got[p]
+		want, known := base[p]
+		switch {
+		case !present:
+			fmt.Fprintf(w, "GONE  %-40s (baseline %.1f%%; not in the profile — "+
+				"remove it from the baseline)\n", p, want)
+			failed++
+		case !known:
+			fmt.Fprintf(w, "NEW   %-40s %6.1f%% (not in baseline; refresh with -write)\n", p, cur)
+		case cur+maxDrop < want:
+			fmt.Fprintf(w, "FAIL  %-40s %6.1f%% (baseline %.1f%%, drop %.1f > %.1f points)\n",
+				p, cur, want, want-cur, maxDrop)
+			failed++
+		default:
+			fmt.Fprintf(w, "ok    %-40s %6.1f%% (baseline %.1f%%)\n", p, cur, want)
+		}
+	}
+	return failed
 }
 
 // packageCoverage parses a coverage profile into package -> percent of

@@ -4,11 +4,16 @@
 // writebacks, and the stalls and host forwards that the timestamp scheme
 // resolves without ever sending an invalidation to an L0X.
 //
-// It mirrors the message sequences of the paper's Figures 4 and 5.
+// It mirrors the message sequences of the paper's Figures 4 and 5. It exits
+// 1 if the trace collects no events or the final memory image differs from
+// sequential execution.
+//
+//	go run ./examples/protocoltrace
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"fusion"
 )
@@ -61,16 +66,21 @@ func main() {
 		b.InputLines = append(b.InputLines, base+fusion.VAddr(i*64))
 	}
 
-	// Collect the full message-level protocol trace alongside the counters.
+	// Collect the full event stream — every protocol transition, load and
+	// store — alongside the counters.
 	collector := &fusion.TraceCollector{}
 	cfg := fusion.DefaultConfig(fusion.FusionSystem)
-	cfg.Tracer = collector
+	cfg.Observer = collector
 	res, err := fusion.Run(b, cfg)
 	if err != nil {
 		panic(err)
 	}
 
-	fmt.Println("First 24 protocol events (the message sequences of Figures 4/5):")
+	if len(collector.Events) == 0 {
+		fmt.Println("the trace collected no events")
+		os.Exit(1)
+	}
+	fmt.Println("First 24 events (the message sequences of Figures 4/5):")
 	for i, e := range collector.Events {
 		if i == 24 {
 			fmt.Printf("   ... %d more\n", len(collector.Events)-24)
@@ -114,7 +124,7 @@ func main() {
 	for va, wv := range want {
 		if res.FinalVersions[va] != wv {
 			fmt.Printf("DATA MISMATCH at %#x: v%d != v%d\n", uint64(va), res.FinalVersions[va], wv)
-			return
+			os.Exit(1)
 		}
 	}
 	fmt.Println("final memory state matches sequential execution exactly.")

@@ -52,7 +52,7 @@ import (
 	"fusion/internal/faults"
 	"fusion/internal/litmus"
 	"fusion/internal/mem"
-	"fusion/internal/ptrace"
+	"fusion/internal/obs"
 	"fusion/internal/sim"
 	"fusion/internal/systems"
 	"fusion/internal/trace"
@@ -185,19 +185,19 @@ func ExpectedVersions(b *Benchmark) map[VAddr]uint64 {
 	return systems.ExpectedVersions(b)
 }
 
-// Protocol tracing: set Config.Tracer to observe every coherence
-// transition the ACC protocol and the host directory take — lease grants,
-// write epochs, self-invalidations, GTIME stalls, host forwards (the
-// message sequences of the paper's Figures 4 and 5).
+// Protocol tracing: set Config.Observer to a TraceCollector or TraceWriter
+// to observe every coherence transition the ACC protocol and the host
+// directory take — lease grants, write epochs, self-invalidations, GTIME
+// stalls, host forwards (the message sequences of the paper's Figures 4
+// and 5) — interleaved with every load and store the agents perform.
 type (
-	// ProtocolEvent is one protocol transition.
-	ProtocolEvent = ptrace.Event
-	// ProtocolTracer receives protocol events.
-	ProtocolTracer = ptrace.Tracer
-	// TraceCollector accumulates protocol events in memory.
-	TraceCollector = ptrace.Collector
-	// TraceWriter streams formatted protocol events to an io.Writer.
-	TraceWriter = ptrace.Writer
+	// ProtocolEvent is one event of the stream; its Kind tells a protocol
+	// transition from a load or store.
+	ProtocolEvent = obs.Observation
+	// TraceCollector accumulates events in memory.
+	TraceCollector = obs.Collector
+	// TraceWriter streams formatted events to an io.Writer.
+	TraceWriter = obs.Writer
 )
 
 // Robustness: fault injection, watchdog, structured failures. A FaultPlan
@@ -284,8 +284,7 @@ func LitmusCaseNames() []string { return litmus.CaseNames() }
 
 // RunLitmus runs the directed litmus case `name` (or "all") on each of its
 // declared systems, value-checking every recorded load and store against
-// the system's visibility model (see internal/litmus). An optional tune is
-// applied to every run's Config (the CLI's A/B knobs ride in here).
-func RunLitmus(name string, tune ...func(*Config)) ([]*LitmusReport, error) {
-	return litmus.RunNamed(name, tune...)
+// the system's visibility model (see internal/litmus).
+func RunLitmus(name string) ([]*LitmusReport, error) {
+	return litmus.RunNamed(name)
 }

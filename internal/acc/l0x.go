@@ -11,7 +11,6 @@ import (
 	"fusion/internal/interconnect"
 	"fusion/internal/mem"
 	"fusion/internal/obs"
-	"fusion/internal/ptrace"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
 )
@@ -84,10 +83,9 @@ type L0X struct {
 
 	pool TileMsgPool
 
-	meter  *energy.Meter
-	tracer ptrace.Tracer
-	obsv   obs.Observer
-	mut    *Mutations
+	meter *energy.Meter
+	obsv  obs.Observer
+	mut   *Mutations
 
 	cAccesses     *stats.Counter
 	cWriteThrough *stats.Counter
@@ -103,27 +101,30 @@ type L0X struct {
 	cFwdIn        *stats.Counter
 }
 
-// SetTracer attaches a protocol tracer (nil disables tracing).
-func (c *L0X) SetTracer(t ptrace.Tracer) { c.tracer = t }
-
-// SetObserver attaches a litmus observer (nil disables observation; the
-// hot path then pays only a nil check).
+// SetObserver attaches an observer to the L0X's accesses and protocol
+// transitions (nil disables observation; the hot path then pays only a nil
+// check).
 func (c *L0X) SetObserver(o obs.Observer) { c.obsv = o }
 
 // SetMutations arms test-only protocol mutations (nil disables them).
 func (c *L0X) SetMutations(m *Mutations) { c.mut = m }
 
-// observe reports one agent-visible load or store to the attached observer.
-func (c *L0X) observe(k obs.Kind, va mem.VAddr, ver, lease uint64) {
-	c.obsv.Record(obs.Observation{Cycle: c.eng.Now(), Agent: c.name,
-		Addr: uint64(va), Ver: ver, Lease: lease, Kind: k})
+// observe stamps o with the cycle and this cache's name and reports it to
+// the attached observer. Callers check c.obsv for nil first.
+func (c *L0X) observe(o obs.Observation) {
+	o.Cycle, o.Agent = c.eng.Now(), c.name
+	c.obsv.Record(o)
 }
 
-func (c *L0X) emit(k ptrace.Kind, addr uint64, detail string) {
-	if c.tracer != nil {
-		c.tracer.Emit(ptrace.Event{Cycle: c.eng.Now(), Source: c.name, Kind: k,
-			Addr: addr, Detail: detail})
+// observeLine reports an agent-visible access to va served by line l: a
+// load observes l's version under its read or write lease, a store
+// produces it under the write epoch.
+func (c *L0X) observeLine(k obs.Kind, va mem.VAddr, l *cache.Line) {
+	lease := l.WTime
+	if k == obs.Load {
+		lease = maxU64(l.LTime, l.WTime)
 	}
+	c.observe(obs.Observation{Kind: k, Addr: uint64(va), Ver: l.Ver, Lease: lease})
 }
 
 // NewL0X builds a private cache for accelerator id.
@@ -225,7 +226,7 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 		switch {
 		case kind == mem.Load && readable:
 			if c.obsv != nil {
-				c.observe(obs.Load, va, l.Ver, maxU64(l.LTime, l.WTime))
+				c.observeLine(obs.Load, va, l)
 			}
 			c.hit(done)
 			return true
@@ -234,7 +235,7 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 				l.Ver++
 			}
 			if c.obsv != nil {
-				c.observe(obs.Store, va, l.Ver, l.WTime)
+				c.observeLine(obs.Store, va, l)
 			}
 			if c.cfg.WriteThrough {
 				// Push the store straight through; the line stays clean.
@@ -249,7 +250,9 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 			// Lease expired (self-invalidated) or insufficient: miss path.
 			if l.LTime <= now && l.WTime <= now {
 				c.cSelfInval.Inc()
-				c.emit(ptrace.SelfInvalidate, a, "")
+				if c.obsv != nil {
+					c.observe(obs.Observation{Kind: obs.SelfInvalidate, Addr: a})
+				}
 				c.dropLine(l) // expired; writeback if a dirty epoch lapsed
 			}
 		}
@@ -273,7 +276,9 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 	if t.write {
 		mt = MsgGetW
 	}
-	c.emit(ptrace.L0XMiss, a, mt.String())
+	if c.obsv != nil {
+		c.observe(obs.Observation{Kind: obs.L0XMiss, Addr: a, Write: t.write})
+	}
 	req := c.pool.Get()
 	req.Type, req.Addr, req.PID, req.Src = mt, mem.VAddr(a), c.pid, c.id
 	req.Lease = c.cfg.LeaseTime // duration; the L1X anchors it at grant time
@@ -366,7 +371,7 @@ func (c *L0X) fill(m *TileMsg) {
 				continue
 			}
 			if c.obsv != nil {
-				c.observe(obs.Load, w.va, m.Ver, 0)
+				c.observe(obs.Observation{Kind: obs.Load, Addr: uint64(w.va), Ver: m.Ver})
 			}
 			c.eng.Schedule(c.cfg.HitLatency, w.done)
 		}
@@ -413,7 +418,7 @@ func (c *L0X) fill(m *TileMsg) {
 					l.Ver++
 				}
 				if c.obsv != nil {
-					c.observe(obs.Store, w.va, l.Ver, l.WTime)
+					c.observeLine(obs.Store, w.va, l)
 				}
 				if c.cfg.WriteThrough {
 					c.sendWB(a, l.Ver, l.WTime, true)
@@ -430,7 +435,7 @@ func (c *L0X) fill(m *TileMsg) {
 			continue
 		}
 		if c.obsv != nil {
-			c.observe(obs.Load, w.va, l.Ver, maxU64(l.LTime, l.WTime))
+			c.observeLine(obs.Load, w.va, l)
 		}
 		c.eng.Schedule(c.cfg.HitLatency, w.done)
 	}
@@ -517,8 +522,9 @@ func (c *L0X) dropLine(l *cache.Line) {
 func (c *L0X) flushLine(l *cache.Line) {
 	if consumer, ok := c.fwdTable.Get(l.Addr); ok && l.State != cache.Shared {
 		if link := c.peerLink(consumer); link != nil {
-			if c.tracer != nil {
-				c.emit(ptrace.DxForward, l.Addr, fmt.Sprintf("to axc%d lease=%d", consumer, maxU64(l.WTime, l.LTime)))
+			if c.obsv != nil {
+				c.observe(obs.Observation{Kind: obs.DxForward, Addr: l.Addr,
+					Peer: int32(consumer), Arg: maxU64(l.WTime, l.LTime)})
 			}
 			fwd := c.pool.Get()
 			fwd.Type, fwd.Addr, fwd.PID, fwd.Src = MsgFwdData, mem.VAddr(l.Addr), c.pid, c.id
@@ -532,7 +538,9 @@ func (c *L0X) flushLine(l *cache.Line) {
 			return
 		}
 	}
-	c.emit(ptrace.Writeback, l.Addr, "")
+	if c.obsv != nil {
+		c.observe(obs.Observation{Kind: obs.Writeback, Addr: l.Addr})
+	}
 	c.sendWB(l.Addr, l.Ver, l.WTime, false)
 	c.cWBs.Inc()
 	l.Dirty = false
@@ -554,7 +562,9 @@ func (c *L0X) selfDowngrade(a uint64, expiry uint64) {
 		return // already drained, evicted, or re-leased
 	}
 	c.cSelfDown.Inc()
-	c.emit(ptrace.SelfDowngrade, a, "")
+	if c.obsv != nil {
+		c.observe(obs.Observation{Kind: obs.SelfDowngrade, Addr: a})
+	}
 	if l.Dirty {
 		c.flushLine(l)
 	} else if c.cfg.WriteThrough {
@@ -604,10 +614,10 @@ func (c *L0X) receiveForward(m *TileMsg) {
 					l.Ver++
 				}
 				if c.obsv != nil {
-					c.observe(obs.Store, w.va, l.Ver, l.WTime)
+					c.observeLine(obs.Store, w.va, l)
 				}
 			} else if c.obsv != nil {
-				c.observe(obs.Load, w.va, l.Ver, maxU64(l.LTime, l.WTime))
+				c.observeLine(obs.Load, w.va, l)
 			}
 			c.eng.Schedule(c.cfg.HitLatency, w.done)
 		}

@@ -13,7 +13,6 @@ import (
 	"fusion/internal/mem"
 	"fusion/internal/mesi"
 	"fusion/internal/obs"
-	"fusion/internal/ptrace"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
 )
@@ -97,11 +96,10 @@ type L1X struct {
 	parked    []*TileMsg
 	freeSlots []uint32
 
-	meter  *energy.Meter
-	tracer ptrace.Tracer
-	obsv   obs.Observer
-	st     *stats.Set
-	mut    *Mutations
+	meter *energy.Meter
+	obsv  obs.Observer
+	st    *stats.Set
+	mut   *Mutations
 
 	// HYDRA cacheability filter (nil/zero when disarmed — see
 	// EnableBypassFilter). touches counts lease requests per virtual line;
@@ -157,20 +155,17 @@ func (x *L1X) EnableBypassFilter(threshold int, checkPJ float64) {
 // fill as deadline-critical (zero disables the deadline term).
 func (x *L1X) SetDeadline(d uint64) { x.deadline = d }
 
-// SetTracer attaches a protocol tracer (nil disables tracing).
-func (x *L1X) SetTracer(t ptrace.Tracer) { x.tracer = t }
-
-// SetObserver attaches a litmus observer (nil disables observation). L1X
-// grants are recorded as diagnostics: the value checker keys on L0X and
-// host-side observations, but a grant pinpoints where a stale version
-// entered the tile.
+// SetObserver attaches an observer to the L1X's grants and protocol
+// transitions (nil disables observation). Grants are recorded as
+// diagnostics: the value checker keys on L0X and host-side observations,
+// but a grant pinpoints where a stale version entered the tile.
 func (x *L1X) SetObserver(o obs.Observer) { x.obsv = o }
 
-func (x *L1X) emit(k ptrace.Kind, addr uint64, detail string) {
-	if x.tracer != nil {
-		x.tracer.Emit(ptrace.Event{Cycle: x.eng.Now(), Source: x.name, Kind: k,
-			Addr: addr, Detail: detail})
-	}
+// observe stamps o with the cycle and this cache's name and reports it to
+// the attached observer. Callers check x.obsv for nil first.
+func (x *L1X) observe(o obs.Observation) {
+	o.Cycle, o.Agent = x.eng.Now(), x.name
+	x.obsv.Record(o)
 }
 
 type evictBuf struct {
@@ -380,8 +375,9 @@ func (x *L1X) lease(m *TileMsg) {
 		// writeback lands (Section 3.2, Figure 4).
 		x.waiting[slot] = append(x.waiting[slot], m)
 		x.cStallWLock.Inc()
-		if x.tracer != nil {
-			x.emit(ptrace.WLockStall, a, fmt.Sprintf("axc%d %s", m.Src, m.Type))
+		if x.obsv != nil {
+			x.observe(obs.Observation{Kind: obs.WLockStall, Addr: a,
+				Peer: int32(m.Src), Write: m.Type == MsgGetW})
 		}
 		return
 	}
@@ -398,8 +394,9 @@ func (x *L1X) lease(m *TileMsg) {
 			// Another accelerator may still be reading under its lease;
 			// the write epoch cannot open until GTIME passes.
 			x.cStallGTime.Inc()
-			if x.tracer != nil {
-				x.emit(ptrace.GTimeStall, a, fmt.Sprintf("axc%d until %d", m.Src, l.GTime))
+			if x.obsv != nil {
+				x.observe(obs.Observation{Kind: obs.GTimeStall, Addr: a,
+					Peer: int32(m.Src), Arg: l.GTime})
 			}
 			x.scheduleProcessAt(l.GTime+x.cfg.LeaseSlack, m)
 			return
@@ -442,17 +439,14 @@ func (x *L1X) grant(m *TileMsg, l *cache.Line, write bool, expiry uint64) {
 	} else {
 		x.cGrantsR.Inc()
 	}
-	if x.tracer != nil {
-		kind := ptrace.LeaseGrant
-		if write {
-			kind = ptrace.EpochGrant
-		}
-		x.emit(kind, uint64(m.Addr.LineAddr()), fmt.Sprintf("axc%d until %d", m.Src, expiry))
-	}
 	if x.obsv != nil {
-		x.obsv.Record(obs.Observation{Cycle: x.eng.Now(), Agent: x.name,
-			Addr: uint64(m.Addr.LineAddr()), Ver: l.Ver, Lease: expiry,
-			Kind: obs.Grant})
+		kind := obs.LeaseGrant
+		if write {
+			kind = obs.EpochGrant
+		}
+		a := uint64(m.Addr.LineAddr())
+		x.observe(obs.Observation{Kind: kind, Addr: a, Peer: int32(m.Src), Arg: expiry})
+		x.observe(obs.Observation{Kind: obs.Grant, Addr: a, Ver: l.Ver, Lease: expiry})
 	}
 	g := x.tilePool.Get()
 	g.Type, g.Addr, g.PID, g.Src = MsgLease, m.Addr, m.PID, -1
@@ -554,8 +548,8 @@ func (x *L1X) missFetch(a uint64, m *TileMsg) {
 	t.va, t.pa, t.pid, t.acksNeeded = a, pa, m.PID, -1
 	t.waiters = append(t.waiters, m)
 	x.txns[x.mshr.Allocate(a)] = t
-	if x.tracer != nil {
-		x.emit(ptrace.L1XFetch, a, fmt.Sprintf("pa=%#x", uint64(pa)))
+	if x.obsv != nil {
+		x.observe(obs.Observation{Kind: obs.L1XFetch, Addr: a, Arg: uint64(pa)})
 	}
 	x.eng.ScheduleCall(walk+1, x, opL1XSendGetM, uint64(pa))
 }
@@ -866,8 +860,8 @@ func (x *L1X) tryInvalidate(m *mesi.Msg, ptr ReversePointer, first bool) {
 	if l.GTime > now || l.WLock {
 		if first {
 			x.cFwdStalled.Inc()
-			if x.tracer != nil {
-				x.emit(ptrace.FwdParked, va, fmt.Sprintf("inv until GTIME %d", l.GTime))
+			if x.obsv != nil {
+				x.observe(obs.Observation{Kind: obs.InvParked, Addr: va, Arg: l.GTime})
 			}
 		}
 		wake := l.GTime + x.cfg.LeaseSlack
@@ -902,7 +896,10 @@ func (x *L1X) invAckHost(m *mesi.Msg, ver uint64, dirty bool) {
 func (x *L1X) hostForward(m *mesi.Msg) {
 	pa := m.Addr.LineAddr()
 	x.cHostFwds.Inc()
-	x.emit(ptrace.HostFwdIn, uint64(pa), m.Type.String())
+	if x.obsv != nil {
+		x.observe(obs.Observation{Kind: obs.HostFwd, Addr: uint64(pa), Phys: true,
+			Write: m.Type == mesi.MsgFwdGetM})
+	}
 	ptr, ok := x.rmap.Lookup(pa)
 	if !ok {
 		if i := x.evictFind(pa); i >= 0 {
@@ -939,8 +936,8 @@ func (x *L1X) tryRelinquish(m *mesi.Msg, ptr ReversePointer, first bool) {
 		// (Figure 4, right: the writeback buffer).
 		if first {
 			x.cFwdStalled.Inc()
-			if x.tracer != nil {
-				x.emit(ptrace.FwdParked, va, fmt.Sprintf("until GTIME %d", l.GTime))
+			if x.obsv != nil {
+				x.observe(obs.Observation{Kind: obs.FwdParked, Addr: va, Arg: l.GTime})
 			}
 		}
 		wake := l.GTime + x.cfg.LeaseSlack
@@ -962,9 +959,9 @@ func (x *L1X) tryRelinquish(m *mesi.Msg, ptr ReversePointer, first bool) {
 // the requester, an eviction notice (OwnerAck, dropped) to the directory.
 // It consumes (releases) the forwarded request m.
 func (x *L1X) respondHost(m *mesi.Msg, ver uint64, dirty bool) {
-	if x.tracer != nil {
-		x.emit(ptrace.Relinquish, uint64(m.Addr.LineAddr()),
-			fmt.Sprintf("to agent%d dirty=%v", m.Requester, dirty))
+	if x.obsv != nil {
+		x.observe(obs.Observation{Kind: obs.Relinquish, Addr: uint64(m.Addr.LineAddr()),
+			Phys: true, Peer: int32(m.Requester), Write: dirty})
 	}
 	dt := mesi.MsgData
 	if m.Type == mesi.MsgFwdGetM {

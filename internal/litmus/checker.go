@@ -81,9 +81,10 @@ func Check(trace []obs.Observation, b *workloads.Benchmark,
 
 	for i := range trace {
 		o := trace[i]
-		if o.Kind == obs.Grant {
-			// Filtered before the line/epoch bookkeeping below: grants are
-			// diagnostic only and must not advance epoch tracking.
+		if o.Kind != obs.Load && o.Kind != obs.Store && o.Kind != obs.Fill {
+			// Filtered before the line/epoch bookkeeping below: grants and
+			// protocol transitions are diagnostic only and must not advance
+			// epoch tracking.
 			continue
 		}
 		line := o.Addr & lineMask
@@ -105,8 +106,6 @@ func Check(trace []obs.Observation, b *workloads.Benchmark,
 		}
 
 		switch o.Kind {
-		case obs.Grant:
-			continue // unreachable: grants are filtered above
 		case obs.Store:
 			if !o.Delta && o.Ver != c+1 {
 				bad(c+1, "store produced v%d; sequential order requires v%d "+
@@ -141,6 +140,8 @@ func Check(trace []obs.Observation, b *workloads.Benchmark,
 				bad(c, "read v%d; should have observed the latest "+
 					"globally-ordered write v%d", o.Ver, c)
 			}
+		default:
+			// Unreachable: only loads, stores and fills pass the filter.
 		}
 	}
 	return out

@@ -30,9 +30,11 @@ import (
 	"fusion/internal/workloads"
 )
 
-// Recorder buffers the observation stream of one run, stamping each record
-// with the current synchronization epoch (the phase index, advanced by the
-// systems runner at every phase boundary). It implements obs.Observer.
+// Recorder buffers the value observations of one run (loads, stores,
+// fills and grants), stamping each with the current synchronization epoch
+// (the phase index, advanced by the Epoch marks the systems runner emits
+// at every phase boundary). Protocol transitions are dropped. It
+// implements obs.Observer.
 type Recorder struct {
 	epoch int32
 	obs   []obs.Observation
@@ -43,12 +45,16 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Record implements obs.Observer.
 func (r *Recorder) Record(o obs.Observation) {
-	o.Epoch = r.epoch
-	r.obs = append(r.obs, o)
+	switch o.Kind {
+	case obs.Load, obs.Store, obs.Fill, obs.Grant:
+		o.Epoch = r.epoch
+		r.obs = append(r.obs, o)
+	case obs.Epoch:
+		r.epoch = o.Epoch
+	default:
+		// A protocol transition: not value-checked.
+	}
 }
-
-// Epoch implements obs.Observer.
-func (r *Recorder) Epoch(n int, cycle uint64) { r.epoch = int32(n) }
 
 // Observations returns the recorded stream in program order.
 func (r *Recorder) Observations() []obs.Observation { return r.obs }
@@ -142,9 +148,7 @@ func report(name string, kind systems.Kind, b *workloads.Benchmark,
 
 // RunNamed runs the directed case `name` (or every case for "all") on each
 // of its declared systems and returns one report per (case, system) pair.
-// An optional tune is applied to every run's config (after the case's own
-// Tune) — the CLI's A/B knobs, e.g. the scheduler choice, ride in here.
-func RunNamed(name string, tune ...func(*systems.Config)) ([]*Report, error) {
+func RunNamed(name string) ([]*Report, error) {
 	var cases []*Case
 	if name == "all" {
 		cases = Cases()
@@ -155,15 +159,10 @@ func RunNamed(name string, tune ...func(*systems.Config)) ([]*Report, error) {
 		}
 		cases = []*Case{c}
 	}
-	mutate := func(cfg *systems.Config) {
-		for _, t := range tune {
-			t(cfg)
-		}
-	}
 	var out []*Report
 	for _, c := range cases {
 		for _, kind := range c.Systems {
-			rep, err := RunCase(c, kind, mutate)
+			rep, err := RunCase(c, kind, nil)
 			if err != nil {
 				return out, err
 			}

@@ -11,7 +11,7 @@ import (
 	"fusion/internal/flat"
 	"fusion/internal/interconnect"
 	"fusion/internal/mem"
-	"fusion/internal/ptrace"
+	"fusion/internal/obs"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
 )
@@ -109,22 +109,23 @@ type Directory struct {
 	// can be reported separately.
 	TileAgent AgentID
 
-	tracer ptrace.Tracer
-	mut    *DirMutations
+	obsv obs.Observer
+	mut  *DirMutations
 }
 
-// SetTracer attaches a protocol tracer (nil disables tracing).
-func (dir *Directory) SetTracer(t ptrace.Tracer) { dir.tracer = t }
+// SetObserver attaches an observer to the directory's transactions and
+// forwards (nil disables observation).
+func (dir *Directory) SetObserver(o obs.Observer) { dir.obsv = o }
 
 // SetMutations arms test-only protocol mutations (nil disables them; see
 // DirMutations).
 func (dir *Directory) SetMutations(m *DirMutations) { dir.mut = m }
 
-func (dir *Directory) emit(k ptrace.Kind, addr mem.PAddr, detail string) {
-	if dir.tracer != nil {
-		dir.tracer.Emit(ptrace.Event{Cycle: dir.fabric.Now(), Source: "dir",
-			Kind: k, Addr: uint64(addr), Detail: detail})
-	}
+// observe stamps o with the cycle and the directory's name and reports it
+// to the attached observer. Callers check dir.obsv for nil first.
+func (dir *Directory) observe(o obs.Observation) {
+	o.Cycle, o.Agent, o.Phys = dir.fabric.Now(), "dir", true
+	dir.obsv.Record(o)
 }
 
 // DirConfig sizes the shared L2.
@@ -263,25 +264,25 @@ func (dir *Directory) start(e *dirEntry, m *Msg) {
 	if c := dir.cByType[m.Type]; c != nil {
 		c.Inc()
 	}
-	if dir.tracer != nil {
-		var k ptrace.Kind
+	if dir.obsv != nil {
+		var k obs.Kind
 		switch m.Type {
 		case MsgGetS:
-			k = ptrace.DirRead
+			k = obs.DirGetS
 		case MsgGetM:
-			k = ptrace.DirWrite
+			k = obs.DirGetM
 		case MsgPutM, MsgPutE:
-			k = ptrace.DirPut
+			k = obs.DirPut
 		case MsgDMARead:
-			k = ptrace.DirDMARead
+			k = obs.DirDMARead
 		case MsgDMAWrite:
-			k = ptrace.DirDMAWrite
+			k = obs.DirDMAWrite
 		default:
 			// Only request types reach start; the dispatch below Failf-s
 			// anything else, so an unknown type here is the same bug.
 			sim.Failf("dir", dir.fabric.Now(), dir.DumpState(), "start trace %s", m)
 		}
-		dir.emit(k, m.Addr, fmt.Sprintf("from agent%d", m.Src))
+		dir.observe(obs.Observation{Kind: k, Addr: uint64(m.Addr), Peer: int32(m.Src)})
 	}
 	dir.accessL2() // directory tag/state access
 
@@ -563,9 +564,9 @@ func (dir *Directory) forward(t MsgType, owner AgentID, req *Msg) {
 	if owner == dir.TileAgent && dir.TileAgent != 0 {
 		dir.cFwdTile.Inc()
 	}
-	if dir.tracer != nil {
-		dir.emit(ptrace.DirForward, req.Addr,
-			fmt.Sprintf("%s to agent%d for agent%d", t, owner, req.Src))
+	if dir.obsv != nil {
+		dir.observe(obs.Observation{Kind: obs.DirFwd, Addr: uint64(req.Addr),
+			Peer: int32(owner), Arg: uint64(req.Src), Write: t == MsgFwdGetM})
 	}
 	fwd := dir.pool.Get()
 	fwd.Type, fwd.Addr, fwd.Src, fwd.Dst, fwd.Requester = t, req.Addr, DirID, owner, req.Src

@@ -403,6 +403,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		"unknown-bench":  `{"benches": ["nope"], "systems": ["fusion"]}`,
 		"unknown-system": `{"benches": ["adpcm"], "systems": ["quantum"]}`,
 		"empty":          `{}`,
+		// The event-queue A/B knob is gone; a spec naming it is rejected.
+		"retired-scheduler": `{"benches": ["adpcm"], "systems": ["fusion"], "base": {"scheduler": "heap"}}`,
 	} { //lint:ordered each case asserts independently; no cross-case state
 		resp, rb := postSweep(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -89,32 +89,28 @@ func TestZeroDelayFIFODuringEventPhase(t *testing.T) {
 	}
 }
 
-// TestPopZeroesSlot guards the GC-ability property for both schedulers:
-// after an event runs, no backing array (heap slots or wheel buckets)
-// still references its closure.
+// TestPopZeroesSlot guards the GC-ability property: after an event runs,
+// no backing array (wheel buckets or the overflow heap, which has
+// promoted its far-future events by then) still references its closure.
 func TestPopZeroesSlot(t *testing.T) {
-	for _, kind := range []string{SchedulerHeap, SchedulerWheel} {
-		e := NewEngine()
-		e.SetScheduler(kind)
-		for i := 0; i < 4; i++ {
-			e.Schedule(0, func(uint64) {})
-		}
-		e.Step()
-		checkSlice := func(q []event, where string) {
-			for i := range q[:cap(q)] {
-				if ev := q[:cap(q)][i]; ev.fn != nil {
-					t.Fatalf("%s: %s slot %d still references a retired closure", kind, where, i)
-				}
+	e := NewEngine()
+	for i := 0; i < 4; i++ {
+		e.Schedule(0, func(uint64) {})
+		e.Schedule(2*wheelSize, func(uint64) {})
+	}
+	e.Run(2*wheelSize+1, nil)
+	if e.Pending() != 0 {
+		t.Fatalf("%d events still pending", e.Pending())
+	}
+	checkSlice := func(q []event, where string) {
+		for i, ev := range q[:cap(q)] {
+			if ev.fn != nil {
+				t.Fatalf("%s slot %d still references a retired closure", where, i)
 			}
 		}
-		switch s := e.sched.(type) {
-		case *heapScheduler:
-			checkSlice(s.h, "heap")
-		case *wheelScheduler:
-			checkSlice(s.overflow, "overflow")
-			for b := range s.buckets {
-				checkSlice(s.buckets[b], "bucket")
-			}
-		}
+	}
+	checkSlice(e.sched.overflow, "overflow")
+	for b := range e.sched.buckets {
+		checkSlice(e.sched.buckets[b], "bucket")
 	}
 }

@@ -131,7 +131,7 @@ func (h *eventHeap) pop() event {
 type Engine struct {
 	now     uint64
 	seq     uint64
-	sched   scheduler
+	sched   *wheelScheduler
 	tickers []Ticker
 
 	// idlers[i] is tickers[i]'s IdleTicker view, nil if not implemented.
@@ -161,30 +161,9 @@ type Engine struct {
 	interruptErr   error
 }
 
-// NewEngine returns an engine with the clock at cycle 0, using the default
-// time-wheel scheduler (see SetScheduler).
+// NewEngine returns an engine with the clock at cycle 0.
 func NewEngine() *Engine {
 	return &Engine{sched: newWheelScheduler()}
-}
-
-// SetScheduler selects the event-queue implementation: SchedulerWheel (the
-// default — O(1) push/pop through a calendar of cycle buckets) or
-// SchedulerHeap (the reference binary heap). The two are observationally
-// identical; the knob exists for A/B validation and as an escape hatch.
-// It must be called before any event is scheduled.
-func (e *Engine) SetScheduler(kind string) {
-	if e.sched.len() != 0 {
-		Failf("sim.engine", e.now, "", "SetScheduler(%q) with %d events pending", kind, e.sched.len())
-	}
-	switch kind {
-	case SchedulerHeap:
-		e.sched = &heapScheduler{}
-	case SchedulerWheel:
-		e.sched = newWheelScheduler()
-	default:
-		Failf("sim.engine", e.now, "", "unknown scheduler %q (want %q or %q)", kind, SchedulerHeap, SchedulerWheel)
-	}
-	e.sched.advance(e.now)
 }
 
 // Now returns the current cycle.
@@ -239,8 +218,8 @@ func (e *Engine) ScheduleAt(at uint64, fn func(now uint64)) {
 
 // ScheduleCall runs h.HandleEvent(now, op, arg) delay cycles from now. It is
 // the closure-free twin of Schedule: the event carries no func value, so a
-// steady-state schedule allocates nothing once the heap's backing array has
-// warmed up. op and arg are opaque to the engine.
+// steady-state schedule allocates nothing once the queue's backing arrays
+// have warmed up. op and arg are opaque to the engine.
 func (e *Engine) ScheduleCall(delay uint64, h EventHandler, op uint8, arg uint64) {
 	e.sched.push(event{at: e.now + delay, seq: e.bumpSeq(), h: h, op: op, arg: arg})
 }
@@ -306,8 +285,8 @@ func (e *Engine) Progress() {
 // Step advances the clock by exactly one cycle. It never fast-forwards;
 // manual Step loops retain strict per-cycle semantics.
 func (e *Engine) Step() {
-	// Let the scheduler catch up with the clock (the wheel promotes
-	// overflow events that entered the near horizon; the heap ignores it).
+	// Let the event queue catch up with the clock: overflow events that
+	// entered the near horizon move into the wheel.
 	e.sched.advance(e.now)
 	// Event phase: drain everything scheduled for the current cycle,
 	// including events scheduled with zero delay while draining.

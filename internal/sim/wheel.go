@@ -2,60 +2,6 @@ package sim
 
 import "math/bits"
 
-// scheduler is the event-queue abstraction behind the engine. Two
-// implementations exist: the monomorphic binary heap (SchedulerHeap) and a
-// hierarchical time-wheel (SchedulerWheel, the default). Both order events
-// by (at, seq) — absolute cycle, then schedule order — so they are
-// observationally identical; the A/B knob exists to prove it.
-type scheduler interface {
-	// push inserts an event. ev.at must not be in the past (the engine's
-	// Schedule* entry points enforce this).
-	push(ev event)
-	// popDue removes and returns the earliest event whose cycle is <= now,
-	// in (at, seq) order. ok=false means nothing is due.
-	popDue(now uint64) (ev event, ok bool)
-	// next reports the cycle of the earliest pending event.
-	next() (at uint64, ok bool)
-	// len reports the number of pending events.
-	len() int
-	// advance tells the scheduler the engine clock reached now. The engine
-	// calls it at the top of every Step and monotonically: now never
-	// decreases across calls.
-	advance(now uint64)
-}
-
-// Scheduler knob values accepted by Engine.SetScheduler.
-const (
-	SchedulerHeap  = "heap"
-	SchedulerWheel = "wheel"
-)
-
-// heapScheduler adapts the monomorphic eventHeap to the scheduler
-// interface. It is the reference implementation: O(log n) push/pop, O(1)
-// peek, no notion of a clock (advance is a no-op).
-type heapScheduler struct {
-	h eventHeap
-}
-
-func (s *heapScheduler) push(ev event) { s.h.push(ev) }
-
-func (s *heapScheduler) popDue(now uint64) (event, bool) {
-	if len(s.h) == 0 || s.h[0].at > now {
-		return event{}, false
-	}
-	return s.h.pop(), true
-}
-
-func (s *heapScheduler) next() (uint64, bool) {
-	if len(s.h) == 0 {
-		return 0, false
-	}
-	return s.h[0].at, true
-}
-
-func (s *heapScheduler) len() int       { return len(s.h) }
-func (s *heapScheduler) advance(uint64) {}
-
 // Time-wheel geometry. The near wheel covers wheelSize consecutive cycles
 // at one bucket per cycle; events at or beyond the horizon wait in a
 // sorted overflow heap and are promoted as the clock approaches.
@@ -67,9 +13,12 @@ const (
 	wordMask   = wheelWords - 1
 )
 
-// wheelScheduler is a calendar queue: a near wheel of wheelSize one-cycle
-// buckets plus an overflow heap for far-future events (lease expiries,
-// watchdog deadlines). Invariants:
+// wheelScheduler is the engine's event queue, a calendar queue: a near
+// wheel of wheelSize one-cycle buckets plus an overflow heap for
+// far-future events (lease expiries, watchdog deadlines). It pops events
+// in (at, seq) order — absolute cycle, then schedule order — exactly as a
+// plain eventHeap would (TestHeapWheelDifferential drives both through
+// one operation sequence). Invariants:
 //
 //   - Every wheel-resident event has at in [now, now+wheelSize), where now
 //     is the last advance()d cycle (pushes between engine steps may use a
@@ -81,13 +30,13 @@ const (
 //     may still hold undrained stragglers for cycle T scheduled during
 //     cycle T's tick phase; popDue checks the previous cycle's bucket
 //     first, so those stragglers still run before cycle-T+1 events, in
-//     (at, seq) order, exactly as the heap would run them.
+//     (at, seq) order, exactly as a heap would run them.
 //   - occ bit b is set iff buckets[b] has undrained events; finding the
 //     next pending cycle is a circular bits.TrailingZeros64 scan from the
 //     current cycle's word, at most wheelWords+1 word tests.
 //
 // A drained bucket keeps its backing array (heads[b] rewinds to 0), so a
-// warmed-up wheel schedules without allocating, like the warmed-up heap.
+// warmed-up wheel schedules without allocating.
 type wheelScheduler struct {
 	now      uint64 // last advance()d engine cycle
 	wcount   int    // events resident in the near wheel
@@ -99,6 +48,8 @@ type wheelScheduler struct {
 
 func newWheelScheduler() *wheelScheduler { return &wheelScheduler{} }
 
+// push inserts an event. ev.at must not be in the past (the engine's
+// Schedule* entry points enforce this).
 func (s *wheelScheduler) push(ev event) {
 	if ev.at >= s.now+wheelSize {
 		s.overflow.push(ev)
@@ -132,6 +83,8 @@ func (s *wheelScheduler) popBucket(b uint64) event {
 	return ev
 }
 
+// popDue removes and returns the earliest event whose cycle is <= now, in
+// (at, seq) order. ok=false means nothing is due.
 func (s *wheelScheduler) popDue(now uint64) (event, bool) {
 	if s.wcount == 0 {
 		return event{}, false
@@ -152,6 +105,7 @@ func (s *wheelScheduler) popDue(now uint64) (event, bool) {
 	return event{}, false
 }
 
+// next reports the cycle of the earliest pending event.
 func (s *wheelScheduler) next() (uint64, bool) {
 	at, ok := s.wheelNext()
 	if n := len(s.overflow); n > 0 && (!ok || s.overflow[0].at < at) {
@@ -194,10 +148,13 @@ func (s *wheelScheduler) wheelNext() (uint64, bool) {
 	return 0, false
 }
 
+// len reports the number of pending events.
 func (s *wheelScheduler) len() int { return s.wcount + len(s.overflow) }
 
-// advance moves the horizon to now+wheelSize and promotes every overflow
-// event that now fits into the wheel. Promotion pops the overflow heap in
+// advance tells the queue the engine clock reached now; the engine calls
+// it at the top of every Step, and now never decreases across calls. It
+// moves the horizon to now+wheelSize and promotes every overflow event
+// that now fits into the wheel. Promotion pops the overflow heap in
 // (at, seq) order and appends, preserving FIFO within each bucket.
 func (s *wheelScheduler) advance(now uint64) {
 	s.now = now

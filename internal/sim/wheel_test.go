@@ -4,7 +4,7 @@ package sim
 // far-future overflow promotion (including promotion into a bucket that
 // still holds stragglers for a previous lap), drain-rebase of the seq
 // counter, fast-forward jumps across empty buckets, and a randomized
-// heap-vs-wheel differential.
+// queue-level differential against a bare eventHeap.
 
 import (
 	"fmt"
@@ -50,7 +50,7 @@ func TestWheelOverflowPromotion(t *testing.T) {
 	// Far-future events, scheduled out of cycle order.
 	e.ScheduleAt(3*wheelSize+5, func(now uint64) { fired["far2"] = now })
 	e.ScheduleAt(2*wheelSize+5, func(now uint64) { fired["far1"] = now })
-	if got := e.sched.(*wheelScheduler); len(got.overflow) != 2 {
+	if got := e.sched; len(got.overflow) != 2 {
 		t.Fatalf("overflow holds %d events, want 2", len(got.overflow))
 	}
 	// A straggler for cycle 9, scheduled during cycle 9's tick phase (an
@@ -137,71 +137,85 @@ func (ts *tickScheduler) Tick(now uint64) {
 	}
 }
 
-// diffTicker drives the differential test below: each Tick it may schedule
-// events at pseudo-random delays (drawn from its own generator, so both
-// engines see the same sequence). Once its event budget is spent it goes
-// idle, so the tail of the run exercises fast-forwarding over the
-// far-future events it left behind.
-type diffTicker struct {
-	eng *Engine
-	rng *rand.Rand
-	log *[]string
-	n   int
-}
-
-func (d *diffTicker) Name() string { return "diff" }
-func (d *diffTicker) Idle() bool   { return d.n >= 200 }
-
-func (d *diffTicker) Tick(now uint64) {
-	if d.n >= 200 || d.rng.Intn(4) != 0 {
-		return
-	}
-	d.schedule(now, 0)
-}
-
-func (d *diffTicker) schedule(now uint64, depth int) {
-	d.n++
-	id := d.n
-	// Delays cover same-cycle (0), near-wheel, bucket-collision (exactly
-	// one lap), and deep-overflow cases.
-	delay := [...]uint64{0, 1, 3, 50, wheelSize, wheelSize + 1, 3 * wheelSize}[d.rng.Intn(7)]
-	d.eng.Schedule(delay, func(at uint64) {
-		*d.log = append(*d.log, fmt.Sprintf("%d@%d", id, at))
-		if depth < 3 && d.rng.Intn(3) == 0 {
-			d.schedule(at, depth+1)
-		}
-	})
-}
-
-// TestHeapWheelDifferential runs the same randomized workload — a ticker
-// scheduling events at mixed delays, events rescheduling recursively,
-// quiescent stretches fast-forwarded — under both schedulers and requires
-// the complete (id, cycle) firing logs to match.
+// TestHeapWheelDifferential drives the wheel and a bare eventHeap — the
+// reference (at, seq) order — through one seeded sequence of queue
+// operations, in the order the engine issues them: advance at the top of
+// a step, popDue until nothing is due (popped events may push more,
+// zero delay included), pushes from the tick phase, then next() as the
+// fast-forward consults it. Delays cover same-cycle, near-wheel,
+// one-lap bucket collisions and deep overflow; clock moves are single
+// steps or fast-forward jumps, some past the promotion horizon. Every pop
+// must agree on (at, seq), and every next() and len() must match.
 func TestHeapWheelDifferential(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		logs := map[string][]string{}
-		for _, kind := range []string{SchedulerHeap, SchedulerWheel} {
-			e := NewEngine()
-			e.SetScheduler(kind)
-			var log []string
-			e.Register(&diffTicker{eng: e, rng: rand.New(rand.NewSource(seed)), log: &log})
-			e.Run(20*wheelSize, nil)
-			if e.Pending() != 0 {
-				t.Fatalf("seed %d %s: %d events still pending", seed, kind, e.Pending())
+	delays := [...]uint64{0, 1, 3, 50, wheelSize - 1, wheelSize, wheelSize + 1, 3 * wheelSize}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := newWheelScheduler()
+		var h eventHeap
+		var seq uint64
+		push := func(at uint64) {
+			seq++
+			ev := event{at: at, seq: seq}
+			w.push(ev)
+			h.push(ev)
+		}
+		heapNext := func() (uint64, bool) {
+			if len(h) == 0 {
+				return 0, false
 			}
-			logs[kind] = log
+			return h[0].at, true
 		}
-		h, w := logs[SchedulerHeap], logs[SchedulerWheel]
-		if len(h) == 0 {
-			t.Fatalf("seed %d: empty firing log", seed)
+		checkNext := func(now uint64) (uint64, bool) {
+			at, ok := w.next()
+			hat, hok := heapNext()
+			if at != hat || ok != hok || w.len() != len(h) {
+				t.Fatalf("seed %d cycle %d: wheel next (%d, %v) len %d, heap next (%d, %v) len %d",
+					seed, now, at, ok, w.len(), hat, hok, len(h))
+			}
+			return at, ok
 		}
-		if fmt.Sprint(h) != fmt.Sprint(w) {
-			for i := range h {
-				if i >= len(w) || h[i] != w[i] {
-					t.Fatalf("seed %d: firing logs diverge at %d: heap %q vs wheel %q", seed, i, h[i], w[i])
+		pops := 0
+		var now uint64
+		for step := 0; step < 4000; step++ {
+			w.advance(now)
+			for {
+				got, gok := w.popDue(now)
+				var want event
+				wok := len(h) > 0 && h[0].at <= now
+				if wok {
+					want = h.pop()
+				}
+				if gok != wok || got.at != want.at || got.seq != want.seq {
+					t.Fatalf("seed %d cycle %d: wheel popped (%d, %d, %v), heap (%d, %d, %v)",
+						seed, now, got.at, got.seq, gok, want.at, want.seq, wok)
+				}
+				if !gok {
+					break
+				}
+				pops++
+				if rng.Intn(4) == 0 {
+					push(now + delays[rng.Intn(len(delays))])
 				}
 			}
-			t.Fatalf("seed %d: wheel log longer than heap log (%d vs %d)", seed, len(w), len(h))
+			// Tick phase: a zero delay here leaves a straggler that runs
+			// at the head of the next cycle's event phase.
+			if step < 3000 {
+				for n := rng.Intn(3); n > 0; n-- {
+					push(now + delays[rng.Intn(len(delays))])
+				}
+			}
+			at, ok := checkNext(now)
+			now++
+			// Fast-forward: jump to the next event, or to an earlier
+			// cycle (a waker deadline), possibly past the horizon; the
+			// engine consults next() again before the next advance.
+			if ok && at > now && rng.Intn(3) == 0 {
+				now += uint64(rng.Int63n(int64(at-now))) + 1
+				checkNext(now)
+			}
+		}
+		if pops == 0 || w.len() != len(h) {
+			t.Fatalf("seed %d: %d pops, wheel holds %d, heap %d", seed, pops, w.len(), len(h))
 		}
 	}
 }

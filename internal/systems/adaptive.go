@@ -149,9 +149,6 @@ func runAdaptive(m *machine, b *workloads.Benchmark, cfg Config, res *Result) er
 	tcfg.L0X.WriteThrough = cfg.WriteThrough
 	tcfg.Injector = m.inj
 	tile := acc.NewTile(m.eng, m.fab, m.pt, tcfg, m.model, m.mt, m.st)
-	if cfg.Tracer != nil {
-		tile.SetTracer(cfg.Tracer)
-	}
 	if cfg.Observer != nil {
 		tile.SetObserver(cfg.Observer)
 	}
@@ -221,7 +218,7 @@ func runAdaptive(m *machine, b *workloads.Benchmark, cfg Config, res *Result) er
 	for i := range b.Program.Phases {
 		ph := &b.Program.Phases[i]
 		if cfg.Observer != nil {
-			cfg.Observer.Epoch(i, m.eng.Now())
+			cfg.Observer.Record(obs.Observation{Kind: obs.Epoch, Cycle: m.eng.Now(), Epoch: int32(i)})
 		}
 		if ph.Kind == trace.PhaseHost {
 			if err := runHostPhase(m, &ph.Inv, cfg, res); err != nil {

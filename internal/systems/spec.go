@@ -7,7 +7,7 @@ package systems
 // it. Because the simulator is deterministic, a Spec's canonical hash
 // permanently identifies its result: compute once, serve forever.
 //
-// Knobs that never change measured results (tracers, observers, paranoia
+// Knobs that never change measured results (observers, paranoia
 // sweeps, test-only mutations) are deliberately not part of a Spec; knobs
 // that change whether a run completes (cycle budget, watchdog window, fault
 // plan) are.
@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"fusion/internal/faults"
-	"fusion/internal/sim"
 	"fusion/internal/workloads"
 )
 
@@ -40,7 +39,6 @@ type Spec struct {
 	DMAGap         uint64       `json:"dma_gap,omitempty"`
 	WatchdogCycles uint64       `json:"watchdog_cycles,omitempty"`
 	NoIdleSkip     bool         `json:"no_idle_skip,omitempty"`
-	Scheduler      string       `json:"scheduler,omitempty"`
 	Policy         string       `json:"policy,omitempty"`
 	DecisionWindow int          `json:"decision_window,omitempty"`
 	DeadlineCycles uint64       `json:"deadline_cycles,omitempty"`
@@ -69,7 +67,7 @@ func ParseKind(name string) (Kind, bool) {
 }
 
 // SpecOf captures the serializable portion of a Config as a normalized
-// Spec. Non-serializable knobs (Tracer, Observer, Paranoid, mutations) are
+// Spec. Non-serializable knobs (Observer, Paranoid, mutations) are
 // dropped: they never change measured results.
 func SpecOf(bench string, cfg Config) Spec {
 	cfg = cfg.normalize()
@@ -85,7 +83,6 @@ func SpecOf(bench string, cfg Config) Spec {
 		DMAGap:         cfg.DMAGap,
 		WatchdogCycles: cfg.WatchdogCycles,
 		NoIdleSkip:     cfg.NoIdleSkip,
-		Scheduler:      cfg.Scheduler,
 		Policy:         cfg.Policy,
 		DecisionWindow: cfg.DecisionWindow,
 		DeadlineCycles: cfg.DeadlineCycles,
@@ -123,13 +120,9 @@ func (s Spec) Normalized() Spec {
 	if out.DMAGap == 0 {
 		out.DMAGap = dmaControllerGap
 	}
-	// The scheduler knob does not change results, so the default stays
-	// implicit ("" rather than "wheel") and pre-knob spec hashes remain
-	// valid cache keys.
-	out.Scheduler = strings.ToLower(strings.TrimSpace(out.Scheduler))
-	// The adaptive/hydra knobs likewise stay implicit when defaulted
-	// ("" rather than "heuristic", 0 rather than DefaultDecisionWindow):
-	// their defaults are applied at the use site, so pre-knob spec hashes
+	// The adaptive/hydra knobs stay implicit when defaulted ("" rather
+	// than "heuristic", 0 rather than DefaultDecisionWindow): their
+	// defaults are applied at the use site, so pre-knob spec hashes
 	// of the other systems remain valid cache keys.
 	out.Policy = strings.ToLower(strings.TrimSpace(out.Policy))
 	if out.Faults != nil {
@@ -143,18 +136,12 @@ func (s Spec) Normalized() Spec {
 	return out
 }
 
-// Validate reports whether the spec names a known benchmark, system,
-// scheduler, and policy.
+// Validate reports whether the spec names a known benchmark, system, and
+// policy.
 func (s Spec) Validate() error {
 	if _, ok := ParseKind(s.System); !ok {
 		return fmt.Errorf("spec: unknown system %q (valid: %s)",
 			s.System, strings.Join(KindNames(), ", "))
-	}
-	switch strings.ToLower(strings.TrimSpace(s.Scheduler)) {
-	case "", sim.SchedulerHeap, sim.SchedulerWheel:
-	default:
-		return fmt.Errorf("spec: unknown scheduler %q (valid: %s, %s)",
-			s.Scheduler, sim.SchedulerHeap, sim.SchedulerWheel)
 	}
 	switch strings.ToLower(strings.TrimSpace(s.Policy)) {
 	case "", "heuristic", "learned":
@@ -191,7 +178,6 @@ func (s Spec) Config() (Config, error) {
 		DMAGap:         n.DMAGap,
 		WatchdogCycles: n.WatchdogCycles,
 		NoIdleSkip:     n.NoIdleSkip,
-		Scheduler:      n.Scheduler,
 		Policy:         n.Policy,
 		DecisionWindow: n.DecisionWindow,
 		DeadlineCycles: n.DeadlineCycles,

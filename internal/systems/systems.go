@@ -40,7 +40,6 @@ import (
 	"fusion/internal/mem"
 	"fusion/internal/mesi"
 	"fusion/internal/obs"
-	"fusion/internal/ptrace"
 	"fusion/internal/scratchpad"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
@@ -146,9 +145,6 @@ type Config struct {
 	DMAOutstanding int
 	// DMAGap is the DMA controller's per-transfer occupancy in cycles.
 	DMAGap uint64
-	// Tracer, when set, receives message-level protocol events from the
-	// accelerator tile(s) and the host directory (see internal/ptrace).
-	Tracer ptrace.Tracer
 	// Paranoid scans the tile(s) for ACC protocol-invariant violations
 	// every few cycles (single writer, lease containment, RMAP
 	// consistency) and the host directory's MESI invariants (single owner,
@@ -170,13 +166,6 @@ type Config struct {
 	// by TestIdleSkipInvariant); the knob exists for that A/B check and for
 	// benchmarking the skip itself.
 	NoIdleSkip bool
-	// Scheduler selects the engine's event-queue implementation:
-	// sim.SchedulerWheel (the default hierarchical time-wheel) or
-	// sim.SchedulerHeap (the reference binary heap). The two are
-	// observationally equivalent (asserted by TestSchedulerInvariant); the
-	// knob exists for that A/B check and for benchmarking the wheel itself.
-	// Empty means the default.
-	Scheduler string
 	// Policy selects the ADAPTIVE placement policy: "heuristic" (the
 	// default, also selected by "") or "learned". Other systems ignore it.
 	Policy string
@@ -191,11 +180,13 @@ type Config struct {
 	// (deadline-critical streaming). Zero leaves the deadline term of the
 	// filter unarmed. Other systems ignore it.
 	DeadlineCycles uint64
-	// Observer, when set, receives a (cycle, agent, address, value, epoch)
-	// observation for every load and store any agent performs, plus epoch
-	// marks at phase boundaries — the litmus harness's value-checking feed
-	// (see internal/obs and internal/litmus). Nil costs the hot path only a
-	// nil check.
+	// Observer, when set, receives the run's event stream (see
+	// internal/obs): a (cycle, agent, address, value) observation for every
+	// load and store any agent performs, an epoch mark at every phase
+	// boundary, and every protocol transition of the accelerator tile(s)
+	// and the host directory. The litmus recorder keeps the values; the
+	// obs Writer and Collector keep everything. Nil costs the hot path only
+	// a nil check.
 	Observer obs.Observer
 	// AccMutations, DirMutations, PadMutations, and PolicyMutations arm
 	// deliberate, test-only protocol/policy bugs for the litmus
@@ -407,9 +398,6 @@ func RunCtx(ctx context.Context, b *workloads.Benchmark, cfg Config) (*Result, e
 	cfg = cfg.normalize()
 	m := newMachine()
 	m.eng.SetIdleSkip(!cfg.NoIdleSkip)
-	if cfg.Scheduler != "" {
-		m.eng.SetScheduler(cfg.Scheduler)
-	}
 	res := &Result{
 		Benchmark:   b.Program.Name,
 		System:      cfg.Kind.String(),
@@ -466,10 +454,8 @@ func RunCtx(ctx context.Context, b *workloads.Benchmark, cfg Config) (*Result, e
 		m.dir.Preload(m.translate(va), 1)
 	}
 
-	if cfg.Tracer != nil {
-		m.dir.SetTracer(cfg.Tracer)
-	}
 	if cfg.Observer != nil {
+		m.dir.SetObserver(cfg.Observer)
 		m.hostL1.SetObserver(cfg.Observer)
 	}
 	if cfg.DirMutations != nil {
@@ -638,7 +624,7 @@ func runScratch(m *machine, b *workloads.Benchmark, cfg Config, res *Result) err
 	for i := range b.Program.Phases {
 		ph := &b.Program.Phases[i]
 		if cfg.Observer != nil {
-			cfg.Observer.Epoch(i, m.eng.Now())
+			cfg.Observer.Record(obs.Observation{Kind: obs.Epoch, Cycle: m.eng.Now(), Epoch: int32(i)})
 		}
 		if ph.Kind == trace.PhaseHost {
 			if err := runHostPhase(m, &ph.Inv, cfg, res); err != nil {
@@ -802,7 +788,7 @@ func runShared(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	for i := range b.Program.Phases {
 		ph := &b.Program.Phases[i]
 		if cfg.Observer != nil {
-			cfg.Observer.Epoch(i, m.eng.Now())
+			cfg.Observer.Record(obs.Observation{Kind: obs.Epoch, Cycle: m.eng.Now(), Epoch: int32(i)})
 		}
 		if ph.Kind == trace.PhaseHost {
 			if err := runHostPhase(m, &ph.Inv, cfg, res); err != nil {
@@ -871,9 +857,6 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 		if cfg.Kind == Hydra {
 			tiles[t].L1X.EnableBypassFilter(hydraBypassThreshold, m.model.PolicyCheck)
 		}
-		if cfg.Tracer != nil {
-			tiles[t].SetTracer(cfg.Tracer)
-		}
 		if cfg.Observer != nil {
 			tiles[t].SetObserver(cfg.Observer)
 		}
@@ -895,7 +878,7 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	for i := range b.Program.Phases {
 		ph := &b.Program.Phases[i]
 		if cfg.Observer != nil {
-			cfg.Observer.Epoch(i, m.eng.Now())
+			cfg.Observer.Record(obs.Observation{Kind: obs.Epoch, Cycle: m.eng.Now(), Epoch: int32(i)})
 		}
 		if ph.Kind == trace.PhaseHost {
 			if err := runHostPhase(m, &ph.Inv, cfg, res); err != nil {
