@@ -308,7 +308,7 @@ func (c *L0X) freeTxn(t *l0txn) {
 
 func (c *L0X) hit(done func(uint64)) {
 	c.cHits.Inc()
-	c.eng.Schedule(c.cfg.HitLatency, done)
+	c.eng.Complete(c.cfg.HitLatency, done)
 }
 
 // Handle receives a message from the L1X or a sibling L0X.
@@ -373,7 +373,7 @@ func (c *L0X) fill(m *TileMsg) {
 			if c.obsv != nil {
 				c.observe(obs.Observation{Kind: obs.Load, Addr: uint64(w.va), Ver: m.Ver})
 			}
-			c.eng.Schedule(c.cfg.HitLatency, w.done)
+			c.eng.Complete(c.cfg.HitLatency, w.done)
 		}
 		c.freeTxn(t)
 		c.pool.Put(m)
@@ -426,7 +426,7 @@ func (c *L0X) fill(m *TileMsg) {
 				} else {
 					l.Dirty = true
 				}
-				c.eng.Schedule(c.cfg.HitLatency, w.done)
+				c.eng.Complete(c.cfg.HitLatency, w.done)
 			} else {
 				// A store merged behind a read-lease miss: upgrade now.
 				w := w
@@ -437,7 +437,7 @@ func (c *L0X) fill(m *TileMsg) {
 		if c.obsv != nil {
 			c.observeLine(obs.Load, w.va, l)
 		}
-		c.eng.Schedule(c.cfg.HitLatency, w.done)
+		c.eng.Complete(c.cfg.HitLatency, w.done)
 	}
 	c.freeTxn(t)
 	c.pool.Put(m)
@@ -619,7 +619,7 @@ func (c *L0X) receiveForward(m *TileMsg) {
 			} else if c.obsv != nil {
 				c.observeLine(obs.Load, w.va, l)
 			}
-			c.eng.Schedule(c.cfg.HitLatency, w.done)
+			c.eng.Complete(c.cfg.HitLatency, w.done)
 		}
 		c.freeTxn(t)
 	}

@@ -360,19 +360,25 @@ func (a *Accelerator) Tick(now uint64) {
 		}
 	}
 
-	// Retire completed iterations from the head of the pipeline (in order).
-	for len(a.inflight) > 0 {
-		st := a.inflight[0]
+	// Retire completed iterations from the head of the pipeline (in order),
+	// then copy the survivors down so the pipeline reuses one backing array
+	// instead of creeping along it and reallocating.
+	retired := 0
+	for _, st := range a.inflight {
 		it := &a.inv.Iterations[st.idx]
-		if st.loadsDone == len(it.Loads) && st.computeLeft == 0 &&
-			st.storesDone == len(it.Stores) {
-			a.inflight = a.inflight[1:]
-			a.freeIters = append(a.freeIters, st)
-			a.eng.Progress() // an iteration retiring is forward progress
-			acted = true
-			continue
+		if st.loadsDone < len(it.Loads) || st.computeLeft > 0 ||
+			st.storesDone < len(it.Stores) {
+			break
 		}
-		break
+		a.freeIters = append(a.freeIters, st)
+		a.eng.Progress() // an iteration retiring is forward progress
+		retired++
+	}
+	if retired > 0 {
+		n := copy(a.inflight, a.inflight[retired:])
+		clear(a.inflight[n:])
+		a.inflight = a.inflight[:n]
+		acted = true
 	}
 
 	if len(a.inflight) == 0 && a.nextIter == len(a.inv.Iterations) && len(a.outstanding) == 0 {

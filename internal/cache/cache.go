@@ -47,17 +47,20 @@ func (s State) String() string {
 
 // Line is one cache line's tag-array entry.
 type Line struct {
+	// The narrow fields share the first word, so a Line is exactly one
+	// 64-byte host cache line (pinned by TestLineSize).
 	Valid bool
-	Addr  uint64  // line-aligned address (virtual in the tile, physical host-side)
-	PID   mem.PID // process tag (accelerator tile only, Section 3.2)
 	Dirty bool
+	WLock bool // L1X: a write epoch is outstanding; readers/writers stall
 	State State
+	PID   mem.PID // process tag (accelerator tile only, Section 3.2)
+
+	Addr uint64 // line-aligned address (virtual in the tile, physical host-side)
 
 	// ACC protocol timestamps (absolute cycles).
 	LTime uint64 // L0X: read-lease expiry (LTIME)
 	WTime uint64 // L0X: write-epoch expiry; 0 when no write epoch held
 	GTime uint64 // L1X: latest lease granted to any L0X (GTIME)
-	WLock bool   // L1X: a write epoch is outstanding; readers/writers stall
 
 	// PAddr is the translated physical address, recorded at the L1X on fill
 	// so writebacks and evictions do not need a second AX-TLB lookup.

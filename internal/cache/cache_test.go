@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fusion/internal/mem"
 )
@@ -11,6 +12,15 @@ import (
 func small() *Array {
 	// 4 sets x 2 ways x 64B = 512B
 	return NewArray(Params{SizeBytes: 512, Ways: 2, LineBytes: 64})
+}
+
+// TestLineSize pins Line to one 64-byte host cache line: the LLC and the
+// tile arrays allocate a Line per way, so a field that breaks the packing
+// of the first word costs a sixth more tag-array memory.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 64", got)
+	}
 }
 
 func TestParamsSets(t *testing.T) {

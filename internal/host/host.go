@@ -51,9 +51,10 @@ const (
 )
 
 type hostOp struct {
-	kind  opKind
 	addr  mem.VAddr
+	pa    mem.PAddr // addr translated on the first issue attempt; 0 until then
 	iter  int
+	kind  opKind
 	state opState
 }
 
@@ -221,6 +222,18 @@ func (c *Core) ready(op *hostOp) bool {
 	}
 }
 
+// phys returns op's physical address, translating only on the first issue
+// attempt: an op refused by a full L1 MSHR retries every cycle. PA 0 marks
+// "not yet translated", since the page table never hands out frame 0.
+// Translation stays lazy because the page table allocates frames on first
+// touch, in issue order.
+func (c *Core) phys(op *hostOp) mem.PAddr {
+	if op.pa == 0 {
+		op.pa = c.translate(op.addr)
+	}
+	return op.pa
+}
+
 // Tick advances the pipeline.
 func (c *Core) Tick(now uint64) {
 	if c.inv == nil {
@@ -263,7 +276,7 @@ func (c *Core) Tick(now uint64) {
 			if memOps == 0 || c.inLQ >= c.cfg.LQ {
 				continue
 			}
-			pa := c.translate(op.addr)
+			pa := c.phys(op)
 			cb := c.getCb(i, true)
 			if !c.l1.Access(mem.Load, pa, cb.fn) {
 				c.freeCbs = append(c.freeCbs, cb)
@@ -277,7 +290,7 @@ func (c *Core) Tick(now uint64) {
 			if memOps == 0 || c.inSQ >= c.cfg.SQ {
 				continue
 			}
-			pa := c.translate(op.addr)
+			pa := c.phys(op)
 			cb := c.getCb(i, false)
 			if !c.l1.Access(mem.Store, pa, cb.fn) {
 				c.freeCbs = append(c.freeCbs, cb)

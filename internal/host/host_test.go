@@ -163,3 +163,25 @@ func TestStartWhileBusyPanics(t *testing.T) {
 	}()
 	h.core.Start(inv, nil, nil)
 }
+
+// TestTranslateOncePerOp: a load or store refused by a full L1 MSHR retries
+// every cycle, but its address is translated only on the first attempt.
+func TestTranslateOncePerOp(t *testing.T) {
+	h := newHarness(t)
+	inv := &trace.Invocation{Iterations: seqIters(4, 16, 1, 8)}
+	calls := 0
+	fired := false
+	h.core.Start(inv, func(va mem.VAddr) mem.PAddr {
+		calls++
+		return h.pt.Translate(1, va)
+	}, func(uint64) { fired = true })
+	if _, ok := h.eng.Run(5000000, func() bool { return fired }); !ok {
+		t.Fatal("phase never completed")
+	}
+	if h.st.Get("hostl1.mshr_full") == 0 {
+		t.Fatal("no MSHR-full retries: the test does not exercise a retry")
+	}
+	if want := 4 * (16 + 8); calls != want {
+		t.Fatalf("translate called %d times for %d memory ops", calls, want)
+	}
+}

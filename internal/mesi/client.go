@@ -269,7 +269,7 @@ func (c *Client) Access(kind mem.AccessKind, addr mem.PAddr, done func(now uint6
 
 func (c *Client) hit(done func(uint64)) {
 	c.cHits.Inc()
-	c.fabric.Engine().Schedule(c.hitLatency, done)
+	c.fabric.Engine().Complete(c.hitLatency, done)
 }
 
 // Handle is the fabric endpoint for protocol messages. Every message is
@@ -449,7 +449,7 @@ func (c *Client) maybeComplete(t *txn) {
 		} else if c.obsv != nil {
 			c.observe(obs.Load, w.addr, v.Ver)
 		}
-		c.fabric.Engine().Schedule(lat, w.done)
+		c.fabric.Engine().Complete(lat, w.done)
 	}
 	c.freeTxns = append(c.freeTxns, t)
 }

@@ -140,7 +140,7 @@ func (s *Scratchpad) Access(kind mem.AccessKind, va mem.VAddr, done func(now uin
 		s.obsv.Record(obs.Observation{Cycle: s.eng.Now(), Agent: s.name,
 			Addr: uint64(va), Ver: l.base + l.delta, Kind: k, Delta: !l.baseKnown})
 	}
-	s.eng.Schedule(s.cfg.AccessLat, done)
+	s.eng.Complete(s.cfg.AccessLat, done)
 	return true
 }
 

@@ -32,3 +32,27 @@ func TestScheduleCallZeroAlloc(t *testing.T) {
 		t.Fatal("handler never fired")
 	}
 }
+
+func TestCompleteZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	fired := 0
+	fn := func(uint64) { fired++ }
+
+	// Warm every lane bucket so steady-state runs never grow one.
+	for i := 0; i < 2*laneSize; i++ {
+		eng.Complete(1, fn)
+		eng.Complete(laneSize-1, fn)
+		eng.Step()
+	}
+
+	if avg := testing.AllocsPerRun(1000, func() {
+		eng.Complete(1, fn)
+		eng.Complete(laneSize-1, fn)
+		eng.Step()
+	}); avg != 0 {
+		t.Fatalf("Complete steady state allocated %.1f per op, want 0", avg)
+	}
+	if fired == 0 {
+		t.Fatal("completion never fired")
+	}
+}

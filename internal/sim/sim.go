@@ -1,24 +1,26 @@
 // Package sim provides the discrete, cycle-driven simulation kernel used by
 // every timed component in the Fusion simulator.
 //
-// The kernel advances a global clock one cycle at a time. Each cycle has two
-// phases:
+// The kernel advances a global clock one cycle at a time. Each cycle has
+// three phases:
 //
 //  1. The event phase: callbacks scheduled for the current cycle run in
 //     scheduling order (stable FIFO among events that share a cycle).
-//  2. The tick phase: every registered Ticker runs once, in registration
+//  2. The completion phase: fixed-latency completions (Complete) due this
+//     cycle run in the order they were requested.
+//  3. The tick phase: every registered Ticker runs once, in registration
 //     order.
 //
-// Both orderings are fully deterministic, which matters for a coherence
+// All three orderings are fully deterministic, which matters for a coherence
 // simulator: two runs with the same inputs produce bit-identical message
 // interleavings and statistics.
 //
 // Run additionally fast-forwards over quiescent stretches: when every
-// registered Ticker declares itself idle (see IdleTicker) and no event is
-// due, the clock jumps straight to the next event instead of executing
-// empty cycles. The jump is invisible to components — cycle counts, event
-// ordering, predicate observation points, and watchdog trip cycles are all
-// identical to per-cycle stepping.
+// registered Ticker declares itself idle (see IdleTicker) and no event or
+// completion is due, the clock jumps straight to the next one instead of
+// executing empty cycles. The jump is invisible to components — cycle
+// counts, event ordering, predicate observation points, and watchdog trip
+// cycles are all identical to per-cycle stepping.
 package sim
 
 // Ticker is a component that does work every cycle: drains its inbound
@@ -132,6 +134,7 @@ type Engine struct {
 	now     uint64
 	seq     uint64
 	sched   *wheelScheduler
+	lane    completionLane
 	tickers []Ticker
 
 	// idlers[i] is tickers[i]'s IdleTicker view, nil if not implemented.
@@ -203,9 +206,25 @@ func (e *Engine) bumpSeq() uint64 {
 
 // Schedule runs fn delay cycles from now. A delay of zero runs fn later in
 // the current cycle's event phase if that phase is still draining, otherwise
-// at the start of the next cycle's event phase.
+// at the start of the next cycle's event phase. An event runs before that
+// cycle's completions and ticks.
 func (e *Engine) Schedule(delay uint64, fn func(now uint64)) {
 	e.sched.push(event{at: e.now + delay, seq: e.bumpSeq(), fn: fn})
+}
+
+// Complete runs fn delay cycles from now, in the completion phase of that
+// cycle: after every event of the cycle and before any Tick, FIFO with the
+// other completions due then. It is the cheap path for fixed-latency hits
+// and must be given only callbacks that touch their owner's private state
+// (state only the owner's Tick and Idle read), which is what makes running
+// them after the cycle's events indistinguishable from running them among
+// those events. A callback that schedules, sends, or is read by another
+// component belongs on Schedule. delay must lie in [1, 64).
+func (e *Engine) Complete(delay uint64, fn func(now uint64)) {
+	if delay == 0 || delay >= laneSize {
+		Failf("sim.engine", e.now, "", "Complete delay %d outside [1, %d)", delay, laneSize)
+	}
+	e.lane.push(e.now+delay, fn)
 }
 
 // ScheduleAt runs fn at absolute cycle at, which must not be in the past.
@@ -301,6 +320,10 @@ func (e *Engine) Step() {
 			ev.h.HandleEvent(e.now, ev.op, ev.arg)
 		}
 	}
+	// Completion phase.
+	if e.lane.occ != 0 {
+		e.lane.drain(e.now)
+	}
 	// Tick phase.
 	for _, t := range e.tickers {
 		t.Tick(e.now)
@@ -310,9 +333,10 @@ func (e *Engine) Step() {
 
 // skipTarget reports the cycle Run may jump to without executing the
 // intervening cycles, and whether such a jump is possible. A jump is legal
-// only when no event is due at the current cycle and every ticker proves
-// itself idle; it lands on the earliest of the next event, any waker's
-// deadline, and limit (Run's cycle budget).
+// only when no event or completion is due at the current cycle and every
+// ticker proves itself idle; it lands on the earliest of the next event,
+// the next completion, any waker's deadline, and limit (Run's cycle
+// budget).
 func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
 	if e.noIdleSkip || e.busyTickers > 0 {
 		return 0, false
@@ -324,6 +348,9 @@ func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
 		} else if at < target {
 			target = at
 		}
+	}
+	if at, ok := e.lane.next(e.now); ok && at < target {
+		target = at
 	}
 	if target <= e.now {
 		return 0, false
@@ -407,5 +434,6 @@ func (e *Engine) RunE(maxCycles uint64, pred func() bool) (cycles uint64, done b
 	return cycles, done, err
 }
 
-// Pending reports the number of outstanding scheduled events.
-func (e *Engine) Pending() int { return e.sched.len() }
+// Pending reports the number of outstanding scheduled events and
+// completions.
+func (e *Engine) Pending() int { return e.sched.len() + e.lane.count }
