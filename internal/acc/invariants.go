@@ -8,10 +8,9 @@ package acc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"fusion/internal/cache"
-	"fusion/internal/mem"
+	"fusion/internal/flat"
 )
 
 // CheckInvariants returns a description of every protocol-invariant
@@ -28,85 +27,101 @@ import (
 //     the AX-RMAP under its physical address, and vice versa.
 func (t *Tile) CheckInvariants(now uint64) []string {
 	var bad []string
-
-	// 1 + 3: scan the L0Xs.
-	writers := make(map[uint64][]AXCID) // line -> open write epochs
-	type leaseInfo struct {
-		axc    AXCID
-		expiry uint64
-		pid    mem.PID
+	sc := &t.inv
+	if sc.writers == nil {
+		sc.writers = flat.New[int](64)
 	}
-	var live []leaseInfo
-	linesOf := make(map[uint64]bool)
+	sc.writers.Clear()
+	sc.multi = sc.multi[:0]
+
+	// 1 + 2 + 3: scan the L0Xs.
 	for _, l0 := range t.L0Xs {
-		l0 := l0
-		l0.arr.ForEach(func(l *cache.Line) {
+		for i, n := 0, l0.arr.NumLines(); i < n; i++ {
+			l := l0.arr.LineAt(i)
 			if !l.Valid {
-				return
+				continue
 			}
 			if l.WTime > now {
-				writers[l.Addr] = append(writers[l.Addr], l0.id)
+				w, _ := sc.writers.Upsert(l.Addr)
+				*w++
+				if *w == 2 {
+					sc.multi = append(sc.multi, l.Addr)
+				}
 			}
 			if l.Dirty && l.WTime == 0 {
 				bad = append(bad, fmt.Sprintf(
 					"%s: dirty line %#x never held a write epoch", l0.name, l.Addr))
 			}
-			exp := l.LTime
-			if l.WTime > exp {
-				exp = l.WTime
+			exp := max(l.LTime, l.WTime)
+			if exp <= now {
+				continue
 			}
-			if exp > now {
-				live = append(live, leaseInfo{l0.id, exp, l.PID})
-				linesOf[l.Addr] = true
-				// 2: the L1X must cover this lease.
-				x := t.L1X.arr.LookupPID(l.Addr, l.PID)
-				if x == nil {
-					bad = append(bad, fmt.Sprintf(
-						"%s: live lease on %#x (until %d) with no L1X line",
-						l0.name, l.Addr, exp))
-				} else if x.GTime < exp {
-					bad = append(bad, fmt.Sprintf(
-						"%s: lease on %#x until %d exceeds L1X GTIME %d",
-						l0.name, l.Addr, exp, x.GTime))
-				}
+			// 2: the L1X must cover this lease.
+			x := t.L1X.arr.LookupPID(l.Addr, l.PID)
+			if x == nil {
+				bad = append(bad, fmt.Sprintf(
+					"%s: live lease on %#x (until %d) with no L1X line",
+					l0.name, l.Addr, exp))
+			} else if x.GTime < exp {
+				bad = append(bad, fmt.Sprintf(
+					"%s: lease on %#x until %d exceeds L1X GTIME %d",
+					l0.name, l.Addr, exp, x.GTime))
 			}
-		})
-	}
-	// Sorted scan order keeps the violation report reproducible across runs.
-	waddrs := make([]uint64, 0, len(writers))
-	for addr := range writers {
-		waddrs = append(waddrs, addr)
-	}
-	sort.Slice(waddrs, func(i, j int) bool { return waddrs[i] < waddrs[j] })
-	for _, addr := range waddrs {
-		if ws := writers[addr]; len(ws) > 1 {
-			bad = append(bad, fmt.Sprintf(
-				"line %#x has %d simultaneous write epochs (%v)", addr, len(ws), ws))
 		}
+	}
+	// Only lines with two or more open write epochs are sorted; ascending
+	// address order keeps the report reproducible across runs.
+	slices.Sort(sc.multi)
+	for _, addr := range sc.multi {
+		ws := t.openWriters(addr, now)
+		bad = append(bad, fmt.Sprintf(
+			"line %#x has %d simultaneous write epochs (%v)", addr, len(ws), ws))
 	}
 
 	// 4: L1X <-> RMAP bijection.
 	valid := 0
-	t.L1X.arr.ForEach(func(l *cache.Line) {
+	for i, n := 0, t.L1X.arr.NumLines(); i < n; i++ {
+		l := t.L1X.arr.LineAt(i)
 		if !l.Valid {
-			return
+			continue
 		}
 		valid++
 		ptr, ok := t.RMAP.Lookupless(l.PAddr)
 		if !ok {
 			bad = append(bad, fmt.Sprintf(
 				"l1x line v%#x (p%#x) missing from AX-RMAP", l.Addr, uint64(l.PAddr)))
-			return
+			continue
 		}
 		if uint64(ptr.VAddr.LineAddr()) != l.Addr || ptr.PID != l.PID {
 			bad = append(bad, fmt.Sprintf(
 				"AX-RMAP points p%#x at v%#x, but the L1X line is v%#x",
 				uint64(l.PAddr), uint64(ptr.VAddr), l.Addr))
 		}
-	})
+	}
 	if rm := t.RMAP.Len(); rm != valid {
 		bad = append(bad, fmt.Sprintf(
 			"AX-RMAP tracks %d lines but the L1X holds %d", rm, valid))
 	}
 	return bad
+}
+
+// invScratch is the tile-owned working set of CheckInvariants, kept across
+// sweeps so a clean sweep allocates nothing once warm.
+type invScratch struct {
+	writers *flat.Map[int] // line -> open write epochs this sweep
+	multi   []uint64       // lines with two or more open write epochs
+}
+
+// openWriters lists, in L0X scan order, the L0Xs holding an open write
+// epoch on addr. Only a violating line is listed, so a rescan is cheap.
+func (t *Tile) openWriters(addr, now uint64) []AXCID {
+	var ws []AXCID
+	for _, l0 := range t.L0Xs {
+		for i, n := 0, l0.arr.NumLines(); i < n; i++ {
+			if l := l0.arr.LineAt(i); l.Valid && l.Addr == addr && l.WTime > now {
+				ws = append(ws, l0.id)
+			}
+		}
+	}
+	return ws
 }

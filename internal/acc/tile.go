@@ -87,6 +87,8 @@ type Tile struct {
 	L1X  *L1X
 	TLB  *vm.TLB
 	RMAP *vm.RMAP
+
+	inv invScratch // CheckInvariants' scratch, reused across sweeps
 }
 
 // rmapAdapter narrows *vm.RMAP to the acc.ReverseMap interface.

@@ -95,6 +95,28 @@ func (m *Map[V]) Put(k uint64, v V) *V {
 	return &m.vals[i]
 }
 
+// Upsert returns a pointer to the value stored under k, inserting the zero
+// value first when k is absent; existed reports whether k was present.
+// One probe serves both the lookup and the insert (same invalidation rule
+// as Ptr).
+func (m *Map[V]) Upsert(k uint64) (v *V, existed bool) {
+	if m.n >= m.max {
+		m.grow()
+	}
+	i := hash(k) & m.mask
+	for ; m.occupied(i); i = (i + 1) & m.mask {
+		if m.keys[i] == k {
+			return &m.vals[i], true
+		}
+	}
+	var zero V
+	m.keys[i] = k
+	m.vals[i] = zero
+	m.occ[i>>6] |= 1 << (i & 63)
+	m.n++
+	return &m.vals[i], false
+}
+
 func (m *Map[V]) grow() {
 	old := *m
 	size := int(m.mask+1) * 2

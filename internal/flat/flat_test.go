@@ -114,9 +114,16 @@ func TestDifferentialVsRuntimeMap(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		k := uint64(rng.Intn(2000)) * 64
 		switch rng.Intn(3) {
-		case 0, 1:
+		case 0:
 			m.Put(k, i)
 			ref[k] = i
+		case 1:
+			p, existed := m.Upsert(k)
+			if _, rok := ref[k]; existed != rok || (!existed && *p != 0) {
+				t.Fatalf("op %d: Upsert(%d) = %d,%v want existed=%v", i, k, *p, existed, rok)
+			}
+			*p += i
+			ref[k] += i
 		case 2:
 			v, ok := m.Get(k)
 			rv, rok := ref[k]

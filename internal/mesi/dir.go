@@ -90,6 +90,9 @@ type Directory struct {
 	meter *energy.Meter
 	pool  MsgPool
 
+	// inv is CheckInvariants' scratch, reused across sweeps.
+	inv invScratch
+
 	// deferred parks requests between fabric delivery and ring-latency
 	// admission; the closure-free admission event carries the slot index.
 	deferred []*Msg

@@ -5,10 +5,13 @@ package mesi
 // view against the actual cache contents of a set of clients.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"fusion/internal/cache"
+	"fusion/internal/flat"
 	"fusion/internal/mem"
 )
 
@@ -26,82 +29,144 @@ import (
 //  4. Sharer soundness: a client holding S appears in the directory's
 //     sharer set (the converse does not hold — S lines drop silently).
 func CheckInvariants(dir *Directory, clients []*Client) []string {
-	var bad []string
-
-	type holder struct {
-		id    AgentID
-		state cache.State
+	sc := &dir.inv
+	if sc.lines == nil {
+		sc.lines = flat.New[lineTally](1024)
 	}
-	holders := make(map[uint64][]holder)
-	skip := make(map[uint64]bool)
+	sc.lines.Clear()
+	sc.bad = sc.bad[:0]
 
+	// Tally every held line's owners and sharers.
 	for _, c := range clients {
-		c := c
-		for _, a := range c.mshr.Outstanding() {
-			skip[a] = true
-		}
-		for i := range c.evicting {
-			skip[c.evicting[i].addr] = true
-		}
-		c.arr.ForEach(func(l *cache.Line) {
-			if l.Valid {
-				holders[l.Addr] = append(holders[l.Addr], holder{c.id, l.State})
+		for i, n := 0, c.arr.NumLines(); i < n; i++ {
+			l := c.arr.LineAt(i)
+			if !l.Valid {
+				continue
 			}
-		})
-	}
-	dir.entries.ForEach(func(a uint64, ep **dirEntry) {
-		if e := *ep; e.busy || len(e.queue) > 0 {
-			skip[a] = true
-		}
-	})
-
-	// Sorted scan order keeps the violation report reproducible across runs.
-	addrs := make([]uint64, 0, len(holders))
-	for addr := range holders {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		hs := holders[addr]
-		if skip[addr] {
-			continue
-		}
-		e, _ := dir.entries.Get(addr)
-		var owners, sharers []holder
-		for _, h := range hs {
-			switch h.state {
+			t, _ := sc.lines.Upsert(l.Addr)
+			switch l.State {
 			case cache.Invalid:
 				// An invalid way holds nothing; it is not a holder.
 			case cache.Exclusive, cache.Modified:
-				owners = append(owners, h)
+				t.owner, t.ownerState = c.id, l.State
+				t.owners++
 			case cache.Shared:
-				sharers = append(sharers, h)
-			}
-		}
-		if len(owners) > 1 {
-			bad = append(bad, fmt.Sprintf("line %#x has %d owners", addr, len(owners)))
-		}
-		if len(owners) == 1 && len(sharers) > 0 {
-			bad = append(bad, fmt.Sprintf(
-				"line %#x owned by agent %d while %d sharers hold S",
-				addr, owners[0].id, len(sharers)))
-		}
-		if len(owners) == 1 {
-			if e == nil || e.state != dirE || e.owner != owners[0].id {
-				bad = append(bad, fmt.Sprintf(
-					"line %#x: agent %d holds %v but the directory disagrees",
-					addr, owners[0].id, owners[0].state))
-			}
-		}
-		for _, sh := range sharers {
-			if e == nil || e.state != dirS || !e.sharers.has(sh.id) {
-				bad = append(bad, fmt.Sprintf(
-					"line %#x: agent %d holds S but is not a recorded sharer",
-					addr, sh.id))
+				t.sharers++
 			}
 		}
 	}
-	return bad
+	// Client-side transients: an outstanding miss or a buffered eviction.
+	// Directory-side ones (busy or queued) are checked per line below.
+	for _, c := range clients {
+		for w := c.mshr.Occupied(); w != 0; w &= w - 1 {
+			sc.skip(c.mshr.AddrAt(bits.TrailingZeros64(w)))
+		}
+		for i := range c.evicting {
+			sc.skip(c.evicting[i].addr)
+		}
+	}
+
+	// Visit holders again in the same order. A line's own checks run at
+	// its first holder; each sharer is checked where it sits.
+	for _, c := range clients {
+		for i, n := 0, c.arr.NumLines(); i < n; i++ {
+			l := c.arr.LineAt(i)
+			if !l.Valid {
+				continue
+			}
+			addr := l.Addr
+			t := sc.lines.Ptr(addr)
+			if !t.visited {
+				t.visited = true
+				t.entry, _ = dir.entries.Get(addr)
+				if e := t.entry; e != nil && (e.busy || len(e.queue) > 0) {
+					t.skip = true
+				}
+				if !t.skip {
+					sc.checkOwner(addr, t)
+				}
+			}
+			if t.skip || l.State != cache.Shared {
+				continue
+			}
+			if e := t.entry; e == nil || e.state != dirS || !e.sharers.has(c.id) {
+				sc.report(addr, fmt.Sprintf(
+					"line %#x: agent %d holds S but is not a recorded sharer",
+					addr, c.id))
+			}
+		}
+	}
+	return sc.sorted()
+}
+
+// invScratch is the directory-owned working set of CheckInvariants, kept
+// across sweeps so a clean sweep allocates nothing once warm.
+type invScratch struct {
+	lines *flat.Map[lineTally]
+	bad   []violation
+}
+
+// lineTally is one held line's summary for a sweep.
+type lineTally struct {
+	owners, sharers int
+	owner           AgentID // an E/M holder, named only when it is the one
+	ownerState      cache.State
+	skip            bool      // in flight somewhere: not checked
+	visited         bool      // the line's own checks have run
+	entry           *dirEntry // the directory record, fetched at first visit
+}
+
+// violation is one report line, tagged with its address for ordering.
+type violation struct {
+	addr uint64
+	msg  string
+}
+
+// skip marks a held line as transient; unheld addresses are ignored.
+func (sc *invScratch) skip(addr uint64) {
+	if t := sc.lines.Ptr(addr); t != nil {
+		t.skip = true
+	}
+}
+
+func (sc *invScratch) report(addr uint64, msg string) {
+	sc.bad = append(sc.bad, violation{addr, msg})
+}
+
+// checkOwner runs the single-owner, exclusivity and owner-tracking checks
+// on one quiescent line.
+func (sc *invScratch) checkOwner(addr uint64, t *lineTally) {
+	if t.owners > 1 {
+		sc.report(addr, fmt.Sprintf("line %#x has %d owners", addr, t.owners))
+	}
+	if t.owners != 1 {
+		return
+	}
+	if t.sharers > 0 {
+		sc.report(addr, fmt.Sprintf(
+			"line %#x owned by agent %d while %d sharers hold S",
+			addr, t.owner, t.sharers))
+	}
+	if e := t.entry; e == nil || e.state != dirE || e.owner != t.owner {
+		sc.report(addr, fmt.Sprintf(
+			"line %#x: agent %d holds %v but the directory disagrees",
+			addr, t.owner, t.ownerState))
+	}
+}
+
+// sorted returns the report in ascending address order, keeping each
+// line's messages in the order they were found (nil when clean). Only
+// the violations are sorted, never the lines.
+func (sc *invScratch) sorted() []string {
+	if len(sc.bad) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(sc.bad, func(a, b violation) int { return cmp.Compare(a.addr, b.addr) })
+	out := make([]string, len(sc.bad))
+	for i, v := range sc.bad {
+		out[i] = v.msg
+	}
+	return out
 }
 
 // Quiesced reports whether the directory has no busy or queued lines (used

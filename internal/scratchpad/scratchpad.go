@@ -218,57 +218,64 @@ type Window struct {
 // overwriting live data without fetching it first would destroy the
 // untouched part of the line. live may be nil (nothing live).
 func Windows(inv *trace.Invocation, capacityLines int, live map[mem.VAddr]bool) []Window {
+	const (
+		loaded  uint8 = 1 << iota // the window reads the line
+		written                   // the window leaves the line dirty
+	)
 	var out []Window
+	// footprint holds every line the current window touches, with its
+	// flags; one map serves every window and is cleared between them.
+	footprint := flat.New[uint8](capacityLines)
+	var order []mem.VAddr
 	i := 0
 	for i < len(inv.Iterations) {
-		footprint := make(map[mem.VAddr]bool)
-		written := make(map[mem.VAddr]bool)
-		loaded := make(map[mem.VAddr]bool)
-		var order []mem.VAddr
+		footprint.Clear()
+		order = order[:0]
 		j := i
 		for ; j < len(inv.Iterations); j++ {
 			it := &inv.Iterations[j]
 			// Tentatively measure the footprint with this iteration added.
 			add := 0
 			for _, a := range it.Loads {
-				if !footprint[a.LineAddr()] {
+				if footprint.Ptr(uint64(a.LineAddr())) == nil {
 					add++
 				}
 			}
 			for _, a := range it.Stores {
-				if !footprint[a.LineAddr()] {
+				if footprint.Ptr(uint64(a.LineAddr())) == nil {
 					add++
 				}
 			}
-			if len(footprint)+add > capacityLines && j > i {
+			if footprint.Len()+add > capacityLines && j > i {
 				break // window full; this iteration starts the next one
 			}
 			for _, a := range it.Loads {
 				la := a.LineAddr()
-				if !footprint[la] {
-					footprint[la] = true
+				f, seen := footprint.Upsert(uint64(la))
+				if !seen {
 					order = append(order, la)
 				}
-				loaded[la] = true
+				*f |= loaded
 			}
 			for _, a := range it.Stores {
 				la := a.LineAddr()
-				if !footprint[la] {
-					footprint[la] = true
+				f, seen := footprint.Upsert(uint64(la))
+				if !seen {
 					order = append(order, la)
 				}
-				if live[la] {
-					loaded[la] = true // read-modify-write of live data
+				if *f&loaded == 0 && live[la] {
+					*f |= loaded // read-modify-write of live data
 				}
-				written[la] = true
+				*f |= written
 			}
 		}
 		w := Window{Start: i, End: j}
 		for _, la := range order {
-			if loaded[la] {
+			f, _ := footprint.Get(uint64(la))
+			if f&loaded != 0 {
 				w.ReadSet = append(w.ReadSet, la)
 			}
-			if written[la] {
+			if f&written != 0 {
 				w.WriteSet = append(w.WriteSet, la)
 			}
 		}

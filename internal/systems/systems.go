@@ -971,23 +971,38 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 // states are skipped by both checkers, so mid-transaction disagreement
 // never false-positives.
 //
-// It deliberately does not implement sim.IdleTicker: a paranoid run keeps
-// the engine stepping every cycle so the sweep cadence is never skipped.
+// A sweep only reads state, so the checker is always idle to the engine's
+// fast-forward; as a sim.Waker it pins the next sweep cycle, so a jump
+// lands on it and no sweep is ever skipped. Once a violation is latched it
+// imposes no deadline.
 type invariantChecker struct {
 	tiles      []*acc.Tile
 	dir        *mesi.Directory
 	clients    []*mesi.Client
 	interval   uint64
+	sweeps     uint64 // sweeps run so far
 	violation  string
 	violatedAt uint64
 }
 
 func (c *invariantChecker) Name() string { return "paranoid" }
 
+// Idle implements sim.IdleTicker.
+func (c *invariantChecker) Idle() bool { return true }
+
+// WakeAt implements sim.Waker: the next sweep cycle at or after now.
+func (c *invariantChecker) WakeAt(now uint64) (uint64, bool) {
+	if c.violation != "" {
+		return 0, false
+	}
+	return (now + c.interval - 1) / c.interval * c.interval, true
+}
+
 func (c *invariantChecker) Tick(now uint64) {
 	if c.violation != "" || now%c.interval != 0 {
 		return
 	}
+	c.sweeps++
 	for _, t := range c.tiles {
 		if bad := t.CheckInvariants(now); len(bad) > 0 {
 			c.violation = bad[0]
